@@ -11,19 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import okounkov, serialize
-from .components import ComponentModel, component_growth, component_mixed, two_branch_model
+from .components import (
+    ComponentModel,
+    component_growth,
+    component_mixed,
+    component_multiplicities,
+    two_branch_model,
+)
 from .filtration import check_submultiplicative
 from .multiplicity import (
     DEFAULT_LADDER,
     DIRECT,
     TRUNCATION_EXACT,
-    LimitEstimate,
-    mixed_multiplicities,
     positivity_report,
     product_ideal_at,
     truncation_ladder,
@@ -77,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-timestamp",
             action="store_true",
             help="omit the generation time for byte-stable output",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for independent verification sections",
         )
     return parser
 
@@ -240,23 +237,10 @@ def run_colength(model: ComponentModel, params: dict):
 
 
 def run_multiplicity(model: ComponentModel, params: dict):
-    args = _backend_args(params)
-    d = model.dim
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    per = []
-    for j in range(model.r):
-        unit = tuple(1 if i == j else 0 for i in range(model.r))
-        est = component_growth(model, unit, **args)
-        scaled = LimitEstimate(
-            value=est.value * fact,
-            lower_evidence=est.lower_evidence * fact,
-            method=est.method,
-            error_note=f"{est.error_note}; growth scaled by {d}!",
-            tail=tuple((m, v * fact) for m, v in est.tail),
-        )
-        per.append({"index": j, "multiplicity": serialize.estimate_to_json(scaled)})
+    per = [
+        {"index": j, "multiplicity": serialize.estimate_to_json(est)}
+        for j, est in enumerate(component_multiplicities(model, **_backend_args(params)))
+    ]
     payload = {"kind": "multiplicity", "per_filtration": per}
     lines = ["index,multiplicity"]
     for entry in per:
@@ -267,14 +251,11 @@ def run_multiplicity(model: ComponentModel, params: dict):
 
 def run_mixed(model: ComponentModel, params: dict):
     args = _backend_args(params)
-    fs = _single_component(model)
-    if fs is not None:
-        rep = mixed_multiplicities(fs, **args)
-    else:
-        rep = component_mixed(model, **args)
+    rep = component_mixed(model, **args)
     payload = {"kind": "mixed", "mixed": serialize.mixed_report_to_json(rep)}
     csv_text = None
     if "truncation_levels" in params:
+        fs = _single_component(model)
         if fs is None:
             raise CliError("truncation ladders need a single-component model")
         tl = truncation_ladder(
@@ -408,11 +389,7 @@ def _verify_checks(model: ComponentModel, params: dict):
         table = expected["coefficients"]
 
         def exp_coeffs(table=table):
-            rep = (
-                mixed_multiplicities(fs, **args)
-                if fs is not None
-                else component_mixed(model, **args)
-            )
+            rep = component_mixed(model, **args)
             tol = (
                 Fraction(0)
                 if args["backend"] == TRUNCATION_EXACT
@@ -451,10 +428,7 @@ def _verify_checks(model: ComponentModel, params: dict):
         table = expected["multiplicity"]
 
         def exp_mult(table=table):
-            d = model.dim
-            fact = 1
-            for k in range(2, d + 1):
-                fact *= k
+            mults = component_multiplicities(model, **args)
             tol = (
                 Fraction(0)
                 if args["backend"] == TRUNCATION_EXACT
@@ -462,8 +436,9 @@ def _verify_checks(model: ComponentModel, params: dict):
             )
             for key, want in sorted(table.items()):
                 j = int(key)
-                unit = tuple(1 if i == j else 0 for i in range(model.r))
-                got = fact * component_growth(model, unit, **args).value
+                if not 0 <= j < len(mults):
+                    return False, f"no filtration of index {key}", None
+                got = mults[j].value
                 if abs(got - serialize.parse_frac(want)) > tol:
                     return (
                         False,
@@ -477,22 +452,14 @@ def _verify_checks(model: ComponentModel, params: dict):
     return checks
 
 
-def run_verify(model: ComponentModel, params: dict, threads: int):
-    checks = _verify_checks(model, params)
-
-    def guarded(fn):
-        try:
-            return fn()
-        except Exception as exc:  # a crashed check is a failed check
-            return False, f"check raised {type(exc).__name__}: {exc}", None
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [(name, pool.submit(guarded, fn)) for name, fn in checks]
-        results = [(name, fut.result()) for name, fut in futures]
-
+def run_verify(model: ComponentModel, params: dict):
     entries = []
     failed = []
-    for name, (ok, detail, extra) in results:
+    for name, fn in _verify_checks(model, params):
+        try:
+            ok, detail, extra = fn()
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail, extra = False, f"check raised {type(exc).__name__}: {exc}", None
         entry = {"name": name, "passed": ok, "detail": detail}
         if extra is not None:
             entry["report"] = extra
@@ -554,8 +521,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.threads < 1:
-            raise CliError("--threads must be at least 1")
         if ns.command == "example1":
             params = {}
             if ns.config:
@@ -582,7 +547,7 @@ def main(argv=None) -> int:
         elif ns.command == "okounkov":
             payload, csv_text = run_okounkov(model, params)
         else:
-            payload, csv_text = run_verify(model, params, ns.threads)
+            payload, csv_text = run_verify(model, params)
             _emit(payload, csv_text, ns, ns.command)
             if payload["failed"]:
                 for name in payload["failed"]:

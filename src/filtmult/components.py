@@ -2,32 +2,18 @@
 
 Lengths over the product of component rings add up, so every growth
 quantity of the model is the weight-sum of the single-component ones.
-The summed sequences are fed through the same limit and interpolation
-machinery as a single component.
+Every entry point here runs the one weighted growth pipeline of the
+multiplicity module, of which a bare filtration list is the weight-one,
+single-component case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .filtration import Filtration, TruncatedFiltration, adic, fixed_plus_adic, truncate
+from .filtration import Filtration, adic, fixed_plus_adic
 from .monomial import ideal, maximal_ideal
-from .multiplicity import (
-    DEFAULT_LADDER,
-    DIRECT,
-    TRUNCATION_EXACT,
-    LimitEstimate,
-    MixedMultiplicityReport,
-    _factorial_product,
-    exact_growth,
-    fit_homogeneous,
-    length_sequence,
-    limit_estimate,
-    sample_grid,
-    type_vectors,
-    verified_common_period,
-)
+from .multiplicity import DIRECT, LimitEstimate, MixedMultiplicityReport, _WeightedGrowth
 
 
 @dataclass(frozen=True)
@@ -86,20 +72,8 @@ def two_branch_model() -> ComponentModel:
     )
 
 
-def component_length_sequence(model: ComponentModel, n, ladder=None):
-    """Weight-summed scaled colengths along the ladder, one pair (m, value)
-    per rung, value = sum_c w_c * colength_c(m*n) / m^dim."""
-    msteps = tuple(ladder or DEFAULT_LADDER)
-    total = None
-    for comp in model.components:
-        seq = length_sequence(comp.filtrations, n, msteps)
-        if total is None:
-            total = [(m, comp.weight * v) for m, v in seq]
-        else:
-            total = [
-                (m, acc + comp.weight * v) for (m, acc), (_, v) in zip(total, seq)
-            ]
-    return total
+def _parts(model: ComponentModel):
+    return [(c.weight, c.filtrations) for c in model.components]
 
 
 def component_limits(
@@ -112,31 +86,12 @@ def component_limits(
     order: int = 2,
 ) -> tuple[LimitEstimate, ...]:
     """Per-component growth limits at weight one, in model order."""
-    out = []
-    for comp in model.components:
-        if backend == TRUNCATION_EXACT:
-            fs = _truncated(comp.filtrations, trunc_level)
-            cert = verified_common_period(fs, check_bound=check_bound)
-            value = exact_growth(fs, n, cert.period)
-            out.append(
-                LimitEstimate(
-                    value=value,
-                    lower_evidence=value,
-                    method=TRUNCATION_EXACT,
-                    error_note=(
-                        f"exact along period {cert.period}, "
-                        f"certified for i <= {cert.checked_bound}"
-                    ),
-                )
-            )
-        else:
-            out.append(
-                limit_estimate(
-                    length_sequence(comp.filtrations, n, ladder or DEFAULT_LADDER),
-                    order,
-                )
-            )
-    return tuple(out)
+    return tuple(
+        _WeightedGrowth(
+            [(1, c.filtrations)], backend, trunc_level, ladder, check_bound, order
+        ).growth(n)
+        for c in model.components
+    )
 
 
 def component_growth(
@@ -149,30 +104,9 @@ def component_growth(
     order: int = 2,
 ) -> LimitEstimate:
     """Growth limit of the weighted model at multi-level n."""
-    if backend == TRUNCATION_EXACT:
-        parts = component_limits(
-            model, n, backend=backend, trunc_level=trunc_level, check_bound=check_bound
-        )
-        value = sum(
-            (comp.weight * est.value for comp, est in zip(model.components, parts)),
-            start=Fraction(0),
-        )
-        return LimitEstimate(
-            value=value,
-            lower_evidence=value,
-            method=TRUNCATION_EXACT,
-            error_note="; ".join(dict.fromkeys(p.error_note for p in parts)),
-        )
-    seq = component_length_sequence(model, n, ladder)
-    return limit_estimate(seq, order)
-
-
-def _truncated(fs, trunc_level):
-    if all(isinstance(f, TruncatedFiltration) for f in fs):
-        return list(fs)
-    if trunc_level is None:
-        raise ValueError("exact backend needs trunc_level or truncated inputs")
-    return [truncate(f, trunc_level) for f in fs]
+    return _WeightedGrowth(
+        _parts(model), backend, trunc_level, ladder, check_bound, order
+    ).growth(n)
 
 
 def component_mixed(
@@ -185,30 +119,21 @@ def component_mixed(
 ) -> MixedMultiplicityReport:
     """Mixed multiplicities of the weighted model, by exact interpolation
     of the weight-summed growth on the standard sample grid."""
-    d, r = model.dim, model.r
-    grid = sample_grid(d, r)
-    values = [
-        component_growth(
-            model,
-            pt,
-            backend=backend,
-            trunc_level=trunc_level,
-            ladder=ladder,
-            check_bound=check_bound,
-            order=order,
-        )
-        for pt in grid
-    ]
-    coeffs_raw = fit_homogeneous(grid, [v.value for v in values], d, r)
-    lower_raw = fit_homogeneous(grid, [v.lower_evidence for v in values], d, r)
-    note = "; ".join(dict.fromkeys(v.error_note for v in values))
-    coeffs = {}
-    for t in type_vectors(d, r):
-        scale = _factorial_product(t)
-        coeffs[t] = LimitEstimate(
-            value=coeffs_raw[t] * scale,
-            lower_evidence=lower_raw[t] * scale,
-            method=values[0].method,
-            error_note=note,
-        )
-    return MixedMultiplicityReport(r=r, d=d, coeffs=coeffs, backend=backend)
+    return _WeightedGrowth(
+        _parts(model), backend, trunc_level, ladder, check_bound, order
+    ).mixed()
+
+
+def component_multiplicities(
+    model: ComponentModel,
+    backend: str = DIRECT,
+    trunc_level: int | None = None,
+    ladder=None,
+    check_bound: int = 16,
+    order: int = 2,
+) -> tuple[LimitEstimate, ...]:
+    """Multiplicity of each filtration of the weighted model: dim! times
+    the weight-summed growth at its unit vector."""
+    return _WeightedGrowth(
+        _parts(model), backend, trunc_level, ladder, check_bound, order
+    ).multiplicities()

@@ -4,15 +4,13 @@ Five kinds are provided: powers of a fixed ideal, a fixed ideal plus
 powers of another, levels cut out by a weighted valuation with an exactly
 rounded (possibly irrational quadratic) threshold, truncations that
 regenerate high levels from low ones, and index rescalings.  Levels are
-memoized per filtration; the cache is lock-guarded so one instance may be
-shared across threads.
+memoized per filtration.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,8 +89,7 @@ class Filtration:
     """Descending chain of m-primary monomial ideals indexed by level.
 
     Subclasses implement _level; ideal_at validates, memoizes and returns
-    the unit ideal at level 0.  The memo table keeps the first value
-    written per key and is safe for concurrent readers.
+    the unit ideal at level 0.
     """
 
     kind: str = "abstract"
@@ -100,20 +97,16 @@ class Filtration:
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self._cache: dict[int, MonomialIdeal] = {}
-        self._lock = threading.Lock()
 
     def ideal_at(self, n: int) -> MonomialIdeal:
         if n < 0:
             raise ValueError("filtration level must be nonnegative")
         if n == 0:
             return monomial.unit_ideal(self.dim)
-        with self._lock:
-            got = self._cache.get(n)
-        if got is not None:
-            return got
-        computed = self._level(n)
-        with self._lock:
-            return self._cache.setdefault(n, computed)
+        got = self._cache.get(n)
+        if got is None:
+            got = self._cache[n] = self._level(n)
+        return got
 
     def _level(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
@@ -218,18 +211,16 @@ class TruncatedFiltration(Filtration):
     def _exponent_level(self, n: int) -> int:
         # One generator per level in dimension one, so the recurrence can
         # run on bare exponents: g(n) = min over parts of g(i) + g(n-i).
-        # Base levels are fetched before taking the lock; the base has its
-        # own lock and is never re-entered from here.
-        base = [self.base.ideal_at(k).gens[0][0] for k in range(1, self.a + 1)]
-        with self._lock:
-            if self._exponents is None:
-                self._exponents = {k + 1: g for k, g in enumerate(base)}
-            table = self._exponents
-            for k in range(max(table) + 1, n + 1):
-                table[k] = min(
-                    table[i] + table[k - i] for i in range(1, min(self.a, k - 1) + 1)
-                )
-            return table[n]
+        if self._exponents is None:
+            self._exponents = {
+                k: self.base.ideal_at(k).gens[0][0] for k in range(1, self.a + 1)
+            }
+        table = self._exponents
+        for k in range(max(table) + 1, n + 1):
+            table[k] = min(
+                table[i] + table[k - i] for i in range(1, min(self.a, k - 1) + 1)
+            )
+        return table[n]
 
 
 class RescaledFiltration(Filtration):

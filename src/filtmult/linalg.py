@@ -8,6 +8,7 @@ results are exact and reproducible.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -98,18 +99,10 @@ def frac_det(a: Matrix) -> Fraction:
     scale = Fraction(1)
     int_rows: list[list[int]] = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         scale /= den
         int_rows.append([int(x * den) for x in row])
     return scale * int_det(int_rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def fit_affine(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, Fraction]:

@@ -5,7 +5,9 @@ certified periods turn truncated filtrations into exact covolume
 computations; sampling the growth function on a unisolvent grid and
 solving the exact Vandermonde system extracts mixed multiplicities; the
 positivity report checks the sign and vanishing structure those
-coefficients must satisfy.
+coefficients must satisfy.  Multiplicities and mixed multiplicities, of a
+filtration list or of a weighted component model, all come from one
+weighted growth pipeline.
 """
 
 from __future__ import annotations
@@ -204,6 +206,119 @@ def _factorial_product(t) -> int:
     return math.prod(math.factorial(v) for v in t)
 
 
+class _WeightedGrowth:
+    """Growth of a weighted sum of filtration tuples, n -> LimitEstimate.
+
+    parts is [(weight, filtrations), ...], every part carrying the same
+    number of filtrations in one ambient dimension.  Lengths over a product
+    of rings add up, so the growth at n is the weight-sum of the parts'
+    growth at n; a bare list of filtrations is the single part of weight
+    one.  Setup happens once per instance: the exact backend resolves every
+    input under one rule (truncated at trunc_level when it is given,
+    otherwise required to be truncated already) and certifies each part's
+    common period; the direct backend sums the parts' ladders rung by rung
+    and extrapolates the sum.
+    """
+
+    def __init__(
+        self,
+        parts,
+        backend: str,
+        trunc_level: int | None = None,
+        ladder=None,
+        check_bound: int = 16,
+        order: int = 2,
+    ) -> None:
+        parts = [(w, list(fs)) for w, fs in parts]
+        self.d = _common_dim([f for _, fs in parts for f in fs])
+        counts = {len(fs) for _, fs in parts}
+        if len(counts) != 1:
+            raise ValueError("every part must carry the same number of filtrations")
+        self.r = counts.pop()
+        self.backend = backend
+        if backend == TRUNCATION_EXACT:
+            self.parts = []
+            notes = []
+            for w, fs in parts:
+                if trunc_level is not None:
+                    fs = [truncate(f, trunc_level) for f in fs]
+                elif not all(isinstance(f, TruncatedFiltration) for f in fs):
+                    raise ValueError(
+                        "truncation-exact backend requires truncated inputs or trunc_level"
+                    )
+                cert = verified_common_period(fs, check_bound)
+                self.parts.append((w, fs, cert.period))
+                notes.append(
+                    f"exact along period {cert.period}, "
+                    f"certified for i <= {cert.checked_bound}"
+                )
+            self.note = "; ".join(dict.fromkeys(notes))
+        elif backend == DIRECT:
+            self.parts = parts
+            self.ladder = tuple(ladder) if ladder is not None else DEFAULT_LADDER
+            self.order = order
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+
+    def growth(self, n) -> LimitEstimate:
+        """Limit of the weight-summed ell(R/product at m*n)/m^d."""
+        if self.backend == TRUNCATION_EXACT:
+            value = sum(
+                (w * exact_growth(fs, n, s) for w, fs, s in self.parts), start=Fraction(0)
+            )
+            return LimitEstimate(
+                value=value,
+                lower_evidence=value,
+                method=TRUNCATION_EXACT,
+                error_note=self.note,
+            )
+        total = None
+        for w, fs in self.parts:
+            seq = [(m, w * v) for m, v in length_sequence(fs, n, self.ladder)]
+            total = seq if total is None else [
+                (m, acc + v) for (m, acc), (_, v) in zip(total, seq)
+            ]
+        return limit_estimate(total, self.order)
+
+    def mixed(self) -> MixedMultiplicityReport:
+        """Fit the growth polynomial on the sample grid, value and lower
+        evidence alike, and scale the coefficient of type t by prod(t_j!)."""
+        d, r = self.d, self.r
+        grid = sample_grid(d, r)
+        ests = [self.growth(n) for n in grid]
+        values = fit_homogeneous(grid, [e.value for e in ests], d, r)
+        lower = fit_homogeneous(grid, [e.lower_evidence for e in ests], d, r)
+        note = "; ".join(dict.fromkeys(e.error_note for e in ests))
+        coeffs = {
+            t: LimitEstimate(
+                value=values[t] * _factorial_product(t),
+                lower_evidence=lower[t] * _factorial_product(t),
+                method=self.backend,
+                error_note=note,
+            )
+            for t in values
+        }
+        return MixedMultiplicityReport(r=r, d=d, coeffs=coeffs, backend=self.backend)
+
+    def multiplicities(self) -> tuple[LimitEstimate, ...]:
+        """Multiplicity of each filtration: d! times the growth at its unit
+        vector, with the ladder tail in the same units as the value."""
+        k = math.factorial(self.d)
+        out = []
+        for j in range(self.r):
+            est = self.growth(tuple(int(i == j) for i in range(self.r)))
+            out.append(
+                LimitEstimate(
+                    value=est.value * k,
+                    lower_evidence=est.lower_evidence * k,
+                    method=est.method,
+                    error_note=f"{est.error_note}; growth scaled by {self.d}!",
+                    tail=tuple((m, v * k) for m, v in est.tail),
+                )
+            )
+        return tuple(out)
+
+
 def mixed_multiplicities(
     fs,
     backend: str = TRUNCATION_EXACT,
@@ -220,53 +335,9 @@ def mixed_multiplicities(
     homogeneous polynomial is recovered by an exact linear solve and the
     coefficient of type t is scaled by prod(t_j!).
     """
-    fs = list(fs)
-    d = _common_dim(fs)
-    r = len(fs)
-    grid = sample_grid(d, r)
-    if backend == TRUNCATION_EXACT:
-        if trunc_level is not None:
-            work = [truncate(f, trunc_level) for f in fs]
-        elif all(isinstance(f, TruncatedFiltration) for f in fs):
-            work = fs
-        else:
-            raise ValueError(
-                "truncation-exact backend requires truncated inputs or trunc_level"
-            )
-        cert = verified_common_period(work, check_bound)
-        samples = [exact_growth(work, n, cert.period) for n in grid]
-        coeffs = fit_homogeneous(grid, samples, d, r)
-        note = (
-            f"exact along period {cert.period}, "
-            f"certified for i <= {cert.checked_bound}"
-        )
-        out = {
-            t: LimitEstimate(
-                value=c * _factorial_product(t),
-                lower_evidence=c * _factorial_product(t),
-                method=TRUNCATION_EXACT,
-                error_note=note,
-            )
-            for t, c in coeffs.items()
-        }
-        return MixedMultiplicityReport(r=r, d=d, coeffs=out, backend=TRUNCATION_EXACT)
-    if backend == DIRECT:
-        steps = tuple(ladder) if ladder is not None else DEFAULT_LADDER
-        ests = [limit_estimate(length_sequence(fs, n, steps), order) for n in grid]
-        coeffs = fit_homogeneous(grid, [e.value for e in ests], d, r)
-        raw = fit_homogeneous(grid, [e.lower_evidence for e in ests], d, r)
-        note = ests[0].error_note
-        out = {
-            t: LimitEstimate(
-                value=coeffs[t] * _factorial_product(t),
-                lower_evidence=raw[t] * _factorial_product(t),
-                method=DIRECT,
-                error_note=note,
-            )
-            for t in coeffs
-        }
-        return MixedMultiplicityReport(r=r, d=d, coeffs=out, backend=DIRECT)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _WeightedGrowth(
+        [(1, fs)], backend, trunc_level, ladder, check_bound, order
+    ).mixed()
 
 
 def multiplicity_estimate(
@@ -277,39 +348,9 @@ def multiplicity_estimate(
     check_bound: int = 16,
 ) -> LimitEstimate:
     """Multiplicity of a single filtration: d! times the growth limit."""
-    d = f.dim
-    scale = math.factorial(d)
-    if backend == DIRECT:
-        steps = tuple(ladder) if ladder is not None else DEFAULT_LADDER
-        est = limit_estimate(length_sequence([f], (1,), steps))
-        return LimitEstimate(
-            value=est.value * scale,
-            lower_evidence=est.lower_evidence * scale,
-            method=DIRECT,
-            error_note=est.error_note + f"; scaled by d! = {scale}",
-            tail=est.tail,
-        )
-    if backend == TRUNCATION_EXACT:
-        if trunc_level is not None:
-            work = truncate(f, trunc_level)
-        elif isinstance(f, TruncatedFiltration):
-            work = f
-        else:
-            raise ValueError(
-                "truncation-exact backend requires a truncated input or trunc_level"
-            )
-        cert = noetherian_period(work, check_bound)
-        value = exact_growth([work], (1,), cert.period) * scale
-        return LimitEstimate(
-            value=value,
-            lower_evidence=value,
-            method=TRUNCATION_EXACT,
-            error_note=(
-                f"exact along period {cert.period}, "
-                f"certified for i <= {cert.checked_bound}"
-            ),
-        )
-    raise ValueError(f"unknown backend {backend!r}")
+    return _WeightedGrowth(
+        [(1, [f])], backend, trunc_level, ladder, check_bound
+    ).multiplicities()[0]
 
 
 @dataclass(frozen=True)

@@ -28,29 +28,6 @@ from .multiplicity import (
 
 _POINT_GUARD = 2_000_000
 
-_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
-@dataclass(frozen=True)
-class MonomialValuation:
-    """Provenance tag for the valuation sending variable i to 1 + sqrt(p_i).
-
-    The prime tags certify Q-linear independence of the weights; they are
-    never evaluated numerically.
-    """
-
-    prime_tags: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.prime_tags)) != len(self.prime_tags):
-            raise ValueError("prime tags must be distinct")
-
-
-def default_valuation(dim: int) -> MonomialValuation:
-    if dim > len(_FIRST_PRIMES):
-        raise ValueError("no default valuation beyond ten variables")
-    return MonomialValuation(_FIRST_PRIMES[:dim])
-
 
 def degree_bound(fs, sigma) -> int:
     """Smallest c with m^c inside the product of the sigma-level ideals,
@@ -91,7 +68,6 @@ class ValueSemigroup:
     sigma: tuple[int, ...]
     bound: int
     cutoff: int
-    valuation: MonomialValuation
     _levels: dict = field(repr=False)
 
     def level_contains(self, a, i: int) -> bool:
@@ -194,7 +170,6 @@ def value_semigroup(fs, sigma, bound: int, cutoff: int) -> ValueSemigroup:
         sigma=sigma,
         bound=bound,
         cutoff=cutoff,
-        valuation=default_valuation(d),
         _levels=levels,
     )
 

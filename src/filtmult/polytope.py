@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .linalg import frac_det, int_det, lp_feasible, matrix_rank
@@ -132,14 +132,7 @@ def volume(p: RationalPolytope) -> Fraction:
     for simplex in _triangulate(verts, p.dim):
         rows = [[simplex[k][i] - simplex[0][i] for i in range(p.dim)] for k in range(1, p.dim + 1)]
         total += abs(_det(rows))
-    return total / _factorial(p.dim)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return total / factorial(p.dim)
 
 
 def _shoelace(ring: list) -> Fraction:
@@ -461,4 +454,4 @@ def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
         face_pts = [ext[i] for i in idxs]
         for simplex in _triangulate_facet(face_pts, normal, dim):
             total += abs(_det([list(p) for p in simplex]))
-    return total / _factorial(dim)
+    return total / factorial(dim)

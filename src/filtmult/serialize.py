@@ -2,8 +2,8 @@
 
 Rationals travel as "p/q" strings so nothing is rounded on the way out;
 floats appear only as explicit companions to an exact value.  Parsing is
-strict: unknown kinds and malformed fractions raise ValueError with the
-offending value named.
+strict: unknown kinds, malformed fractions and integers given as anything
+but JSON integers raise ValueError with the offending value named.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .filtration import (
     TruncatedFiltration,
     adic,
     fixed_plus_adic,
+    rational_scale,
     rescale,
+    root_scale,
     rounded_valuation,
     truncate,
 )
@@ -59,6 +61,13 @@ def parse_frac(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def parse_int(value) -> int:
+    """A JSON integer; bools, strings and floats are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def estimate_to_json(est: LimitEstimate) -> dict:
     if est.method == TRUNCATION_EXACT:
         return {"exact": frac_str(est.value), "method": est.method, "note": est.error_note}
@@ -79,7 +88,9 @@ def ideal_to_json(I: MonomialIdeal) -> dict:
 def ideal_from_json(obj) -> MonomialIdeal:
     if not isinstance(obj, dict) or "dim" not in obj or "gens" not in obj:
         raise ValueError(f"ideal spec needs dim and gens: {obj!r}")
-    return ideal(int(obj["dim"]), [tuple(int(c) for c in g) for g in obj["gens"]])
+    return ideal(
+        parse_int(obj["dim"]), [tuple(parse_int(c) for c in g) for g in obj["gens"]]
+    )
 
 
 def scale_to_json(s: SurdScalar) -> dict:
@@ -89,14 +100,10 @@ def scale_to_json(s: SurdScalar) -> dict:
 def scale_from_json(obj) -> SurdScalar:
     if isinstance(obj, dict) and "sqrt" in obj:
         p, q = obj["sqrt"]
-        from .filtration import root_scale
-
-        return root_scale(int(p), int(q))
+        return root_scale(parse_int(p), parse_int(q))
     if isinstance(obj, dict) and "rat" in obj:
         p, q = obj["rat"]
-        from .filtration import rational_scale
-
-        return rational_scale(int(p), int(q))
+        return rational_scale(parse_int(p), parse_int(q))
     raise ValueError(f"scale spec needs sqrt or rat: {obj!r}")
 
 
@@ -135,9 +142,9 @@ def filtration_from_json(obj) -> Filtration:
             [parse_frac(w) for w in obj["weights"]], scale_from_json(obj["scale"])
         )
     if kind == "truncated":
-        return truncate(filtration_from_json(obj["base"]), int(obj["level"]))
+        return truncate(filtration_from_json(obj["base"]), parse_int(obj["level"]))
     if kind == "rescaled":
-        return rescale(filtration_from_json(obj["base"]), int(obj["stride"]))
+        return rescale(filtration_from_json(obj["base"]), parse_int(obj["stride"]))
     raise ValueError(f"unknown filtration kind: {kind!r}")
 
 
@@ -163,7 +170,7 @@ def model_from_json(obj) -> ComponentModel:
         comps = []
         for c in obj["components"]:
             fs = tuple(filtration_from_json(f) for f in c["filtrations"])
-            comps.append(Component(int(c.get("weight", 1)), fs))
+            comps.append(Component(parse_int(c.get("weight", 1)), fs))
         return ComponentModel(tuple(comps))
     raise ValueError("model spec needs filtrations or components")
 

@@ -64,12 +64,19 @@ class TestInputProblems:
         assert rc == 1
         assert "order must be an integer of at least 2" in err
 
-    def test_thread_floor(self, capsys):
-        rc, _, err = run(
-            capsys, ["mixed", "--config", PLANE_PAIR, "--threads", "0"]
-        )
+    def test_integers_must_be_json_integers(self, capsys, tmp_path):
+        # int() would read this ideal as (x^2, y) and report multiplicity 2
+        cfg = {
+            "model": {
+                "filtrations": [
+                    {"kind": "adic", "ideal": {"dim": "2", "gens": [[2.7, 0], [0, "1"]]}}
+                ]
+            }
+        }
+        rc, out, err = run(capsys, ["multiplicity", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
-        assert "--threads" in err
+        assert out == ""
+        assert "config error: bad model: not an integer: '2'" in err
 
     def test_verify_has_no_csv(self, capsys):
         rc, _, err = run(
@@ -274,6 +281,25 @@ class TestCommandsOnShippedConfigs:
         assert obj["diagonal_length_closed_form_holds"] is True
 
 
+class TestTruncLevelRule:
+    def test_multiplicity_and_mixed_agree_on_pretruncated_input(self, capsys, tmp_path):
+        # trunc_level truncates every input, an already truncated one too,
+        # so both commands see the 2-truncation of the sqrt(2) filtration
+        sqrt2 = {"kind": "rounded-valuation", "weights": ["1"], "scale": {"sqrt": [2, 1]}}
+        cfg = {
+            "model": {"filtrations": [{"kind": "truncated", "base": sqrt2, "level": 8}]},
+            "params": {"backend": "truncation-exact", "trunc_level": 2},
+        }
+        path = write_config(tmp_path, cfg)
+        rc, out, _ = run(capsys, ["multiplicity", "--config", path, "--no-timestamp"])
+        assert rc == 0
+        mult = json.loads(out)["per_filtration"][0]["multiplicity"]["exact"]
+        rc, out, _ = run(capsys, ["mixed", "--config", path, "--no-timestamp"])
+        assert rc == 0
+        coeff = json.loads(out)["mixed"]["coefficients"]["1"]["exact"]
+        assert mult == coeff == "3/2"
+
+
 class TestVerifyFailures:
     def test_wrong_expected_coefficient(self, capsys, tmp_path):
         cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
@@ -296,6 +322,17 @@ class TestVerifyFailures:
         assert rc == 2
         assert "verify failed: expected-colength" in err
 
+    def test_expected_multiplicity_index_out_of_range(self, capsys, tmp_path):
+        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg["params"]["expected"]["multiplicity"] = {"-1": "2"}
+        rc, out, err = run(
+            capsys, ["verify", "--config", write_config(tmp_path, cfg), "--no-timestamp"]
+        )
+        assert rc == 2
+        assert "verify failed: expected-multiplicity" in err
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "expected-multiplicity")
+        assert check["detail"] == "no filtration of index -1"
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, capsys):
@@ -307,17 +344,6 @@ class TestDeterminism:
         rc, out, _ = run(capsys, ["mixed", "--config", PLANE_PAIR])
         assert rc == 0
         assert "generated_at" in json.loads(out)
-
-    def test_thread_count_does_not_change_output(self, capsys):
-        _, one, _ = run(
-            capsys,
-            ["verify", "--config", PLANE_PAIR, "--no-timestamp", "--threads", "1"],
-        )
-        _, four, _ = run(
-            capsys,
-            ["verify", "--config", PLANE_PAIR, "--no-timestamp", "--threads", "4"],
-        )
-        assert one == four
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -140,7 +140,42 @@ class TestWeighting:
             )
         )
         ladder = (2, 4, 8)
-        got = cp.component_length_sequence(two, (1,), ladder)
+        got = cp.component_growth(two, (1,), ladder=ladder).tail
         a = mu.length_sequence([ft.adic(m)], (1,), ladder)
         b = mu.length_sequence([ft.adic(para)], (1,), ladder)
-        assert got == [(s, va + 2 * vb) for (s, va), (_, vb) in zip(a, b)]
+        assert got == tuple((s, va + 2 * vb) for (s, va), (_, vb) in zip(a, b))
+
+
+def dim3_pair():
+    para = mo.ideal(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    return cp.model([(1, [ft.adic(mo.maximal_ideal(3)), ft.adic(para)])])
+
+
+def two_weighted_components():
+    m = mo.maximal_ideal(2)
+    return cp.model(
+        [
+            (1, [ft.adic(m), ft.adic(mo.ideal(2, [(2, 0), (0, 1)]))]),
+            (2, [ft.adic(mo.ideal(2, [(1, 0), (0, 2)])), ft.adic(m)]),
+        ]
+    )
+
+
+class TestCertifiedOnce:
+    """The exact backend certifies each filtration's period once per call,
+    however many grid points the fit samples."""
+
+    @pytest.mark.parametrize("build", [dim3_pair, two_weighted_components])
+    def test_one_period_certification_per_filtration(self, build, monkeypatch):
+        model = build()
+        calls = []
+        real = mu.noetherian_period
+
+        def counted(f, *args):
+            calls.append(f)
+            return real(f, *args)
+
+        monkeypatch.setattr(mu, "noetherian_period", counted)
+        rep = cp.component_mixed(model, backend=mu.TRUNCATION_EXACT, trunc_level=1)
+        assert len(mu.sample_grid(model.dim, model.r)) == len(rep.coeffs) > 2
+        assert len(calls) == sum(len(c.filtrations) for c in model.components)

@@ -193,8 +193,8 @@ class TestMultiplicityEstimate:
     def test_direct_on_adic(self):
         est = mu.multiplicity_estimate(maximal_adic())
         assert est.value == F(1)
-        assert est.error_note.endswith("; scaled by d! = 2")
-        assert est.tail
+        assert est.error_note.endswith("; growth scaled by 2!")
+        assert est.tail[-1][1] == est.lower_evidence  # tail in the value's units
 
     def test_exact_on_truncated_sqrt2(self):
         est = mu.multiplicity_estimate(

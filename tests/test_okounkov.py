@@ -27,20 +27,6 @@ def sqrt2_filtration():
     return ft.rounded_valuation((1,), ft.root_scale(2))
 
 
-class TestValuation:
-    def test_default_tags_distinct(self):
-        v = ok.default_valuation(4)
-        assert len(set(v.prime_tags)) == 4
-
-    def test_duplicate_tags_rejected(self):
-        with pytest.raises(ValueError):
-            ok.MonomialValuation((2, 2))
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            ok.default_valuation(11)
-
-
 class TestDegreeBound:
     def test_builtin_bounds(self):
         assert ok.degree_bound([maximal_adic()], (1,)) == 1

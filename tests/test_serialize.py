@@ -123,6 +123,36 @@ class TestModels:
         with pytest.raises(ValueError):
             se.model_from_json("model")
 
+    @pytest.mark.parametrize("bad", ["2", 2.0, True])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("components", 0, "weight"),
+            ("components", 0, "filtrations", 0, "ideal", "dim"),
+            ("components", 0, "filtrations", 0, "ideal", "gens", 0, 0),
+            ("components", 0, "filtrations", 1, "level"),
+            ("components", 0, "filtrations", 2, "stride"),
+            ("components", 0, "filtrations", 2, "base", "scale", "sqrt", 1),
+            ("components", 0, "filtrations", 3, "scale", "rat", 0),
+        ],
+    )
+    def test_integer_fields_must_be_json_integers(self, path, bad):
+        fs = [
+            maximal_adic(),
+            ft.truncate(line_plus_powers(), 2),
+            ft.rescale(ft.rounded_valuation((1, 1), ft.root_scale(2)), 2),
+            ft.rounded_valuation((1, 1), ft.rational_scale(3, 2)),
+        ]
+        model = cp.model([(1, fs)])
+        obj = json.loads(json.dumps(se.model_to_json(model)))
+        se.model_from_json(obj)  # the unaltered spec parses
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(ValueError, match="not an integer"):
+            se.model_from_json(obj)
+
 
 class TestTypeKeys:
     def test_round_trip(self):
