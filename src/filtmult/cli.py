@@ -46,9 +46,14 @@ _PARAM_KEYS = {
     "tolerance",
     "zero_threshold",
     "submult_bound",
-    "i_bound",
-    "b_cap",
     "expected",
+}
+
+# Expected-value sections and the keys each one takes.
+_EXPECTED_KEYS = {
+    "coefficients": "{r} comma-separated nonnegative integers summing to {d}",
+    "colength": "{r} comma-separated nonnegative integers",
+    "multiplicity": "a filtration index in [0, {r})",
 }
 
 _COMMANDS = ("colength", "multiplicity", "mixed", "okounkov", "verify", "example1")
@@ -97,6 +102,27 @@ def load_config(path: str) -> dict:
     return obj
 
 
+def _is_int(value) -> bool:
+    """serialize.parse_int's rule: a JSON integer, never a bool."""
+    try:
+        serialize.parse_int(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _expected_key_ok(section: str, key: str, r: int, d: int) -> bool:
+    """Whether an expected-table key names a value of the model, read with
+    the same int calls the verify checks use."""
+    try:
+        if section == "multiplicity":
+            return 0 <= int(key) < r
+        t = serialize.parse_type_key(key)
+    except ValueError:
+        return False
+    return len(t) == r and min(t) >= 0 and (section == "colength" or sum(t) == d)
+
+
 def validate(config: dict) -> list[str]:
     """Collect configuration problems without running anything."""
     problems = []
@@ -127,7 +153,7 @@ def validate(config: dict) -> list[str]:
         if (
             not isinstance(v, list)
             or len(v) != r
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in v)
+            or not all(_is_int(c) for c in v)
         ):
             problems.append(f"{key} must be a list of {r} integers")
         elif any(c < 0 for c in v) or (not allow_zero and all(c == 0 for c in v)):
@@ -144,7 +170,7 @@ def validate(config: dict) -> list[str]:
                 if (
                     not isinstance(row, list)
                     or len(row) != r
-                    or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in row)
+                    or not all(_is_int(c) and c >= 0 for c in row)
                 ):
                     problems.append(f"levels row must be {r} nonnegative integers: {row!r}")
                     break
@@ -153,7 +179,7 @@ def validate(config: dict) -> list[str]:
         if (
             not isinstance(lad, list)
             or len(lad) < 3
-            or not all(isinstance(c, int) and c > 0 for c in lad)
+            or not all(_is_int(c) and c > 0 for c in lad)
             or any(a >= b for a, b in zip(lad, lad[1:]))
         ):
             problems.append("ladder must be a strictly increasing list of >= 3 positive integers")
@@ -162,16 +188,16 @@ def validate(config: dict) -> list[str]:
         if (
             not isinstance(ts, list)
             or not ts
-            or not all(isinstance(c, int) and c > 0 for c in ts)
+            or not all(_is_int(c) and c > 0 for c in ts)
             or any(a >= b for a, b in zip(ts, ts[1:]))
         ):
             problems.append("truncation_levels must be strictly increasing positive integers")
         if len(model.components) > 1:
             problems.append("truncation ladders need a single-component model")
-    for key in ("trunc_level", "check_bound", "cutoff", "submult_bound", "i_bound", "b_cap"):
-        if key in params and (not isinstance(params[key], int) or params[key] < 1):
+    for key in ("trunc_level", "check_bound", "cutoff", "submult_bound"):
+        if key in params and (not _is_int(params[key]) or params[key] < 1):
             problems.append(f"{key} must be a positive integer")
-    if "order" in params and (not isinstance(params["order"], int) or params["order"] < 2):
+    if "order" in params and (not _is_int(params["order"]) or params["order"] < 2):
         problems.append("order must be an integer of at least 2")
     if "backend" in params and params["backend"] not in (DIRECT, TRUNCATION_EXACT):
         problems.append(f"backend must be {DIRECT!r} or {TRUNCATION_EXACT!r}")
@@ -188,13 +214,16 @@ def validate(config: dict) -> list[str]:
             problems.append("expected must be an object")
         else:
             for section, table in exp.items():
-                if section not in ("coefficients", "multiplicity", "colength"):
+                if section not in _EXPECTED_KEYS:
                     problems.append(f"unknown expected section: {section!r}")
                     continue
                 if not isinstance(table, dict):
                     problems.append(f"expected {section} must be an object")
                     continue
                 for k, v in table.items():
+                    if not _expected_key_ok(section, k, r, model.dim):
+                        shape = _EXPECTED_KEYS[section].format(r=r, d=model.dim)
+                        problems.append(f"expected {section} key must be {shape}: {k!r}")
                     try:
                         serialize.parse_frac(v)
                     except ValueError:
@@ -396,10 +425,7 @@ def _verify_checks(model: ComponentModel, params: dict):
                 else serialize.parse_frac(params.get("tolerance", "1/100"))
             )
             for key, want in sorted(table.items()):
-                t = serialize.parse_type_key(key)
-                if t not in rep.coeffs:
-                    return False, f"no coefficient of type {key}", None
-                got = rep.coeffs[t].value
+                got = rep.coeffs[serialize.parse_type_key(key)].value
                 if abs(got - serialize.parse_frac(want)) > tol:
                     return (
                         False,
@@ -414,7 +440,7 @@ def _verify_checks(model: ComponentModel, params: dict):
 
         def exp_colength(table=table):
             for key, want in sorted(table.items()):
-                levels = [int(c) for c in key.split(",")]
+                levels = serialize.parse_type_key(key)
                 got = sum(
                     comp.weight * product_ideal_at(comp.filtrations, levels).colength()
                     for comp in model.components
@@ -435,10 +461,7 @@ def _verify_checks(model: ComponentModel, params: dict):
                 else serialize.parse_frac(params.get("tolerance", "1/100"))
             )
             for key, want in sorted(table.items()):
-                j = int(key)
-                if not 0 <= j < len(mults):
-                    return False, f"no filtration of index {key}", None
-                got = mults[j].value
+                got = mults[int(key)].value
                 if abs(got - serialize.parse_frac(want)) > tol:
                     return (
                         False,

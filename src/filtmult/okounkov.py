@@ -3,10 +3,9 @@
 A monomial valuation with Q-linearly independent weights sends each
 monomial to a distinct value, so graded pieces are one-dimensional and
 semigroup membership reduces to monomial-ideal membership; no irrational
-arithmetic ever happens.  Levels are stored compressed: dimension one
-keeps the minimal exponent, dimension two keeps one staircase height per
-first coordinate, higher dimensions fall back to explicit point sets
-under a size guard.
+arithmetic ever happens.  Each level is kept as its product ideal, in
+every dimension, and a body is the exact hull of the generators under
+the degree cap and their ray points (see ValueSemigroup.quotient_points).
 """
 
 from __future__ import annotations
@@ -18,15 +17,7 @@ from fractions import Fraction
 from . import monomial, polytope
 from .filtration import Filtration
 from .monomial import MonomialIdeal
-from .multiplicity import (
-    DEFAULT_LADDER,
-    LimitEstimate,
-    length_sequence,
-    limit_estimate,
-    product_ideal_at,
-)
-
-_POINT_GUARD = 2_000_000
+from .multiplicity import DIRECT, LimitEstimate, _WeightedGrowth, product_ideal_at
 
 
 def degree_bound(fs, sigma) -> int:
@@ -62,111 +53,80 @@ def shared_degree_bound(fs, sigmas) -> int:
 @dataclass(frozen=True)
 class ValueSemigroup:
     """Levels i <= cutoff of the semigroup {(a, i) : x^a in the level-i
-    product ideal, |a| <= bound*i}."""
+    product ideal, |a| <= bound*i}, each level kept as that ideal."""
 
     dim: int
     sigma: tuple[int, ...]
     bound: int
     cutoff: int
-    _levels: dict = field(repr=False)
+    _levels: dict[int, MonomialIdeal] = field(repr=False)
 
     def level_contains(self, a, i: int) -> bool:
         if i < 1 or i > self.cutoff:
             raise ValueError("level outside stored range")
         a = tuple(a)
-        if any(c < 0 for c in a) or sum(a) > self.bound * i:
-            return False
-        data = self._levels[i]
-        if self.dim == 1:
-            return a[0] >= data
-        if self.dim == 2:
-            u = a[0]
-            if u >= len(data) or data[u] is None:
-                return False
-            return a[1] >= data[u]
-        return a in data
+        return (
+            all(c >= 0 for c in a)
+            and sum(a) <= self.bound * i
+            and self._levels[i].contains(a)
+        )
 
     def points_at(self, i: int):
-        """All stored exponents of one level; intended for small levels."""
-        data = self._levels[i]
+        """All exponents of one level in lexicographic order, by a walk of
+        the degree-cap box; intended for small levels."""
         cap = self.bound * i
-        if self.dim == 1:
-            yield from (((a,)) for a in range(data, cap + 1))
-            return
-        if self.dim == 2:
-            for u, vm in enumerate(data):
-                if vm is not None:
-                    for v in range(vm, cap - u + 1):
-                        yield (u, v)
-            return
-        yield from sorted(data)
+        for a in itertools.product(range(cap + 1), repeat=self.dim):
+            if self.level_contains(a, i):
+                yield a
+
+    def _feet(self, i: int) -> list[tuple[int, ...]]:
+        """Minimal generators of level i within the degree cap, in
+        lexicographic order."""
+        cap = self.bound * i
+        return [g for g in self._levels[i].gens if sum(g) <= cap]
 
     def quotient_points(self):
         """The points a/i whose closure the body is, one list for all levels.
 
-        Dimension two contributes only the staircase foot and the simplex
-        edge point per first coordinate; interior points never affect the
-        hull.
+        Per level i with cap = bound*i, only the feet g (minimal generators
+        with |g| <= cap) and their ray points g + (cap - |g|)*e_k are
+        listed.  The hull is still exactly the hull of every lattice point
+        of every level, for any bound: a point a of level i lies above some
+        minimal generator g, so |g| <= |a| <= cap and g is a foot.  With
+        slack s = cap - |g| > 0 and c = a - g >= 0, |c| <= s, the point
+        a = (1 - |c|/s)*g + sum_k (c_k/s)*(g + s*e_k) is a convex
+        combination of the foot and its ray points (a = g when s = 0), and
+        those are themselves points of the level: above g, of degree at
+        most cap.  Dividing by i is linear, so the same holds after scaling.
         """
         pts: list[tuple[Fraction, ...]] = []
         for i in range(1, self.cutoff + 1):
-            data = self._levels[i]
             cap = self.bound * i
-            if self.dim == 1:
-                if data <= cap:
-                    pts.append((Fraction(data, i),))
-                    pts.append((Fraction(cap, i),))
-            elif self.dim == 2:
-                for u, vm in enumerate(data):
-                    if vm is None:
-                        continue
-                    pts.append((Fraction(u, i), Fraction(vm, i)))
-                    pts.append((Fraction(u, i), Fraction(cap - u, i)))
-            else:
-                pts.extend(tuple(Fraction(c, i) for c in a) for a in data)
+            for g in self._feet(i):
+                pts.append(tuple(Fraction(c, i) for c in g))
+                slack = cap - sum(g)
+                if slack:
+                    for k in range(self.dim):
+                        ray = list(g)
+                        ray[k] += slack
+                        pts.append(tuple(Fraction(c, i) for c in ray))
         return pts
 
 
 def value_semigroup(fs, sigma, bound: int, cutoff: int) -> ValueSemigroup:
-    """Enumerate semigroup levels 1..cutoff for the given sigma weights."""
+    """Semigroup levels 1..cutoff for the given sigma weights, each the
+    product ideal at i*sigma."""
     fs = list(fs)
     sigma = tuple(sigma)
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     if bound < 1:
         raise ValueError("degree bound must be positive")
-    d = fs[0].dim
-    levels: dict[int, object] = {}
-    budget = _POINT_GUARD
-    for i in range(1, cutoff + 1):
-        ideal = product_ideal_at(fs, [i * s for s in sigma])
-        cap = bound * i
-        if d == 1:
-            levels[i] = min(g[0] for g in ideal.gens)
-        elif d == 2:
-            by_u = sorted(ideal.gens)
-            vmin: list[int | None] = [None] * (cap + 1)
-            best: int | None = None
-            gi = 0
-            for u in range(cap + 1):
-                while gi < len(by_u) and by_u[gi][0] <= u:
-                    gy = by_u[gi][1]
-                    best = gy if best is None else min(best, gy)
-                    gi += 1
-                if best is not None and u + best <= cap:
-                    vmin[u] = best
-            levels[i] = tuple(vmin)
-        else:
-            pts = set()
-            for a in itertools.product(*(range(cap + 1) for _ in range(d))):
-                if sum(a) <= cap and ideal.contains(a):
-                    pts.add(a)
-            budget -= len(pts)
-            if budget < 0:
-                raise ValueError("semigroup too large to enumerate explicitly")
-            levels[i] = frozenset(pts)
+    levels = {
+        i: product_ideal_at(fs, [i * s for s in sigma]) for i in range(1, cutoff + 1)
+    }
     return ValueSemigroup(
-        dim=d,
+        dim=fs[0].dim,
         sigma=sigma,
         bound=bound,
         cutoff=cutoff,
@@ -227,12 +187,10 @@ def volume_identity_report(
     """Compare the direct growth estimate of one filtration against the
     volume drop its semigroup body carves out of the full simplex."""
     bound = degree_bound([f], (1,))
-    sem = value_semigroup([f], (1,), bound, cutoff)
-    hat_sem = value_semigroup([f], (0,), bound, min(cutoff, max(f.dim, 2)))
-    hat_vol = polytope.volume(body(hat_sem).body)
-    body_vol = body(sem).volume()
+    hat_vol = polytope.volume(full_simplex_body(f.dim, bound))
+    body_vol = body(value_semigroup([f], (1,), bound, cutoff)).volume()
     diff = hat_vol - body_vol
-    est = limit_estimate(length_sequence([f], (1,), ladder or DEFAULT_LADDER))
+    est = _WeightedGrowth([(1, [f])], DIRECT, ladder=ladder).growth((1,))
     return VolumeIdentityReport(
         cutoff=cutoff,
         bound=bound,
@@ -296,25 +254,12 @@ def origin_collapse_check(
 
 
 def _smallest_point(sem: ValueSemigroup, i: int):
-    """A stored level-i exponent minimizing the largest coordinate scaled
-    by the level, or None."""
-    data = sem._levels[i]
-    cap = sem.bound * i
-    if sem.dim == 1:
-        return (data,) if data <= cap else None
-    if sem.dim == 2:
-        best = None
-        for u, vm in enumerate(data):
-            if vm is None:
-                continue
-            if best is None or max(u, vm) < max(best):
-                best = (u, vm)
-        return best
-    best = None
-    for a in data:
-        if best is None or max(a) < max(best):
-            best = a
-    return best
+    """A level-i exponent minimizing the largest coordinate, or None.
+
+    Every level point lies above a foot whose largest coordinate is no
+    larger, so the lexicographically first minimizing foot is returned.
+    """
+    return min(sem._feet(i), key=max, default=None)
 
 
 @dataclass(frozen=True)

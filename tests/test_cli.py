@@ -78,6 +78,60 @@ class TestInputProblems:
         assert out == ""
         assert "config error: bad model: not an integer: '2'" in err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"trunc_level": True}, "trunc_level must be a positive integer"),
+            ({"check_bound": True}, "check_bound must be a positive integer"),
+            ({"cutoff": True}, "cutoff must be a positive integer"),
+            ({"submult_bound": True}, "submult_bound must be a positive integer"),
+            ({"order": True}, "order must be an integer of at least 2"),
+            ({"backend": "direct", "ladder": [True, 2, 3]}, "ladder must be"),
+            ({"truncation_levels": [True]}, "truncation_levels must be"),
+            ({"i_bound": 2}, "unknown params: ['i_bound']"),
+            ({"b_cap": 64}, "unknown params: ['b_cap']"),
+            (
+                {"expected": {"multiplicity": {"x": "1"}}},
+                "expected multiplicity key must be a filtration index in [0, 2): 'x'",
+            ),
+            (
+                {"expected": {"multiplicity": {"2": "1"}}},
+                "expected multiplicity key must be a filtration index in [0, 2): '2'",
+            ),
+            (
+                {"expected": {"colength": {"1,a": "4"}}},
+                "expected colength key must be 2 comma-separated nonnegative integers: '1,a'",
+            ),
+            (
+                {"expected": {"colength": {"1,-1": "4"}}},
+                "expected colength key must be 2 comma-separated nonnegative integers: '1,-1'",
+            ),
+            (
+                {"expected": {"coefficients": {"z": "1"}}},
+                "expected coefficients key must be 2 comma-separated nonnegative"
+                " integers summing to 2: 'z'",
+            ),
+            (
+                {"expected": {"coefficients": {"1,0": "1"}}},
+                "expected coefficients key must be 2 comma-separated nonnegative"
+                " integers summing to 2: '1,0'",
+            ),
+            (
+                {"expected": {"coefficients": {"1,1,0": "1"}}},
+                "expected coefficients key must be 2 comma-separated nonnegative"
+                " integers summing to 2: '1,1,0'",
+            ),
+        ],
+    )
+    def test_bad_params_are_config_errors(self, capsys, tmp_path, params, message):
+        # a bool is not an integer, and an expected key must name a model value
+        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg["params"].update(params)
+        rc, out, err = run(capsys, ["verify", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert out == ""
+        assert f"config error: {message}" in err
+
     def test_verify_has_no_csv(self, capsys):
         rc, _, err = run(
             capsys, ["verify", "--config", PLANE_PAIR, "--format", "csv"]
@@ -328,10 +382,12 @@ class TestVerifyFailures:
         rc, out, err = run(
             capsys, ["verify", "--config", write_config(tmp_path, cfg), "--no-timestamp"]
         )
-        assert rc == 2
-        assert "verify failed: expected-multiplicity" in err
-        check = next(c for c in json.loads(out)["checks"] if c["name"] == "expected-multiplicity")
-        assert check["detail"] == "no filtration of index -1"
+        assert rc == 1
+        assert out == ""
+        assert (
+            "config error: expected multiplicity key must be a filtration index in [0, 2): '-1'"
+            in err
+        )
 
 
 class TestDeterminism:

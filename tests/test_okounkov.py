@@ -1,14 +1,17 @@
 """Value semigroups, bodies, and the volume and containment checks."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_primary_ideal
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 from filtmult import okounkov as ok
 from filtmult import polytope as pt
+from filtmult.multiplicity import product_ideal_at
 
 
 def maximal_adic():
@@ -130,6 +133,81 @@ class TestBody:
             large = ok.body(ok.value_semigroup([f], (1,), bound, 16))
             for v in small.body.vertices:
                 assert pt.contains_point(large.body, v)
+
+
+KINDS = ("adic", "fixed-plus-adic", "rounded-valuation", "truncated", "rescaled")
+
+
+def random_filtration(rng, kind, dim, max_exp):
+    """A filtration of the given kind whose levels need exponents of at
+    most about max_exp per step."""
+    if kind == "adic":
+        return ft.adic(random_primary_ideal(rng, dim, max_exp))
+    if kind == "fixed-plus-adic":
+        fixed = mo.ideal(dim, [tuple(rng.randint(0, max_exp) for _ in range(dim))])
+        if fixed.is_unit():
+            fixed = mo.ideal(dim, [(1,) + (0,) * (dim - 1)])
+        return ft.fixed_plus_adic(fixed, random_primary_ideal(rng, dim, max_exp))
+    if kind == "rounded-valuation":
+        weights = tuple(F(rng.randint(1, max_exp), rng.randint(1, 2)) for _ in range(dim))
+        scale = rng.choice([ft.root_scale(2), ft.root_scale(3), ft.rational_scale(3, 2)])
+        return ft.rounded_valuation(weights, scale)
+    base = random_filtration(rng, rng.choice(("adic", "rounded-valuation")), dim, max_exp)
+    if kind == "truncated":
+        return ft.truncate(base, rng.randint(1, 2))
+    return ft.rescale(base, rng.randint(1, 2))
+
+
+def brute_body(fs, sigma, bound, cutoff):
+    """Slow oracle: the hull of every lattice point a/i of every level,
+    and per level the point of least largest coordinate, lexicographically
+    first.
+
+    A level point that is the midpoint of two others along a unit step or
+    a step e_j - e_k is never a vertex, so it is dropped before the hull
+    only to keep the exact hull affordable.
+    """
+    dim = fs[0].dim
+    units = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    steps = units + [tuple(p - q for p, q in zip(u, v)) for u, v in itertools.combinations(units, 2)]
+    pts, smallest = [], []
+    for i in range(1, cutoff + 1):
+        level_ideal = product_ideal_at(fs, [i * s for s in sigma])
+        cap = bound * i
+        level = [
+            a
+            for a in itertools.product(range(cap + 1), repeat=dim)
+            if sum(a) <= cap and level_ideal.contains(a)
+        ]
+        members = set(level)
+        pts += [
+            tuple(F(c, i) for c in a)
+            for a in level
+            if not any(
+                tuple(x + y for x, y in zip(a, v)) in members
+                and tuple(x - y for x, y in zip(a, v)) in members
+                for v in steps
+            )
+        ]
+        smallest.append(min(level, key=max, default=None))
+    return (pt.hull(dim, pts).vertices if pts else ()), smallest
+
+
+class TestBodyOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_body_is_hull_of_every_level_point(self, kind, dim):
+        rng = random.Random(f"{kind}-{dim}")
+        draws, max_exp, cutoff = (4, 3, 8) if dim < 3 else (1, 2, 2)
+        for _ in range(draws):
+            f = random_filtration(rng, kind, dim, max_exp)
+            b = ok.degree_bound([f], (1,))
+            for bound in sorted({1, b, b + 1}):
+                sem = ok.value_semigroup([f], (1,), bound, cutoff)
+                verts, smallest = brute_body([f], (1,), bound, cutoff)
+                assert ok.body(sem).body.vertices == verts
+                got = [ok._smallest_point(sem, i) for i in range(1, cutoff + 1)]
+                assert got == smallest
 
 
 class TestVolumeIdentity:
