@@ -153,7 +153,12 @@ class RoundedValuationFiltration(Filtration):
 
     Minimal generators of level n live in the box with per-axis bound
     min{k : k*w_i >= n*scale}, because lowering any larger coordinate to
-    that bound still qualifies.
+    that bound still qualifies.  Only the box over the first d-1 axes is
+    walked: each column gets one candidate, its least qualifying last
+    coordinate, found by bisection with the exact test ``scale.reaches``
+    (the column's top always qualifies).  Every other qualifying point
+    lies above its column's candidate, so the candidates generate the
+    level.
     """
 
     kind = "rounded-valuation"
@@ -167,12 +172,20 @@ class RoundedValuationFiltration(Filtration):
         self.scale = scale
 
     def _level(self, n: int) -> MonomialIdeal:
-        bounds = [self.scale.scaled_ceiling(n, w) for w in self.weights]
+        *head, last = self.weights
+        bounds = [self.scale.scaled_ceiling(n, w) for w in head]
+        top = self.scale.scaled_ceiling(n, last)
         hits = []
         for a in itertools.product(*(range(b + 1) for b in bounds)):
-            total = sum((w * c for w, c in zip(self.weights, a)), Fraction(0))
-            if self.scale.reaches(total, n):
-                hits.append(a)
+            base = sum((w * c for w, c in zip(head, a)), Fraction(0))
+            lo, hi = 0, top
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self.scale.reaches(base + last * mid, n):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            hits.append(a + (lo,))
         return monomial.ideal(self.dim, hits)
 
 

@@ -1,8 +1,13 @@
 """Monomial ideals in a polynomial ring, represented by generator exponents.
 
 An ideal is stored as the antichain of its minimal generators: a finite set
-of exponent vectors in N^d, none componentwise below another.  Membership,
-sums, products and powers are pure set combinatorics on that antichain.
+of exponent vectors in N^d, none componentwise below another, sorted.
+Membership, sums, products and powers are pure set combinatorics on that
+antichain.  Exponents are validated once, where they enter (:func:`ideal`,
+:func:`minimalize`); sums and products hand sorted, deduplicated tuples
+straight to the antichain kernel, which sweeps in dimensions one to three
+and tests dominance with bitsets from four on.  Plane products keep the
+least y per x over all pairwise sums and sweep that staircase once.
 Colengths (the number of standard monomials) are computed exactly by
 coordinate slicing; the geometric quantities (Newton polyhedron vertices,
 covolume) are delegated to the polytope kernel.
@@ -13,6 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from . import polytope
@@ -25,38 +31,78 @@ GEOMETRY_DIM_CAP = 4
 def minimalize(gens: Iterable[Sequence[int]], dim: int) -> tuple[Exponent, ...]:
     """Reduce a generating set to the antichain of minimal exponents.
 
-    Keeps exactly the generators not componentwise dominated by another,
-    deduplicated and sorted.  Two dimensions get a linear sweep; higher
-    dimensions fall back to dominance scans ordered by total degree.
+    Validates every exponent (length ``dim``, each entry a nonnegative
+    ``int``, never a ``bool``) and keeps exactly the generators not
+    componentwise dominated by another, deduplicated and sorted.  Dimensions
+    one to three use sorted sweeps; four and more use one bitset dominance
+    test per point.
     """
-    pts = sorted({tuple(int(c) for c in g) for g in gens})
-    for p in pts:
+    pts = set()
+    for g in gens:
+        p = tuple(g)
         if len(p) != dim:
             raise ValueError(f"exponent {p} does not have length {dim}")
-        if any(c < 0 for c in p):
-            raise ValueError(f"negative exponent in {p}")
+        for c in p:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"non-integer exponent {c!r} in {p}")
+            if c < 0:
+                raise ValueError(f"negative exponent in {p}")
+        pts.add(p)
+    return _minimal(sorted(pts), dim)
+
+
+def _minimal(pts: list[Exponent], dim: int) -> tuple[Exponent, ...]:
+    """Antichain kernel: pts are sorted, deduplicated, valid exponents.
+
+    Lexicographic order puts every dominator before its victims, which
+    each sweep relies on.
+    """
     if not pts:
         return ()
     if dim == 1:
-        return (min(pts),)
+        return (pts[0],)
     if dim == 2:
-        # Sorted lexicographically: x ascending, y ascending within equal x.
-        # A point survives iff its y is strictly below every kept y so far.
+        # x ascending, y ascending within equal x: a point survives iff its
+        # y is strictly below every kept y so far.
         kept2: list[Exponent] = []
         best_y: int | None = None
         for p in pts:
             if best_y is None or p[1] < best_y:
                 kept2.append(p)
                 best_y = p[1]
-        return tuple(sorted(kept2))
+        return tuple(kept2)
     if dim == 3:
         return _minimalize3(pts)
-    by_degree = sorted(pts, key=lambda p: (sum(p), p))
-    kept: list[Exponent] = []
-    for p in by_degree:
-        if not any(all(q[i] <= p[i] for i in range(dim)) for q in kept):
+    return _minimal_bits(pts, dim)
+
+
+def _minimal_bits(pts: list[Exponent], dim: int) -> tuple[Exponent, ...]:
+    """Dominance by bitsets, for four and more dimensions.
+
+    Bit i stands for pts[i].  For each axis and each value v on it, the
+    prefix mask holds the points whose coordinate there is <= v; the AND
+    of a point's d masks is the set of points below it, so the point is
+    minimal iff that AND is its own bit.  The masks take
+    sum(distinct values per axis) * n bits.
+    """
+    masks = []
+    for k in range(dim):
+        at: dict[int, int] = {}
+        for i, p in enumerate(pts):
+            at[p[k]] = at.get(p[k], 0) | (1 << i)
+        acc = 0
+        for v in sorted(at):
+            acc |= at[v]
+            at[v] = acc
+        masks.append(at)
+    kept = []
+    for i, p in enumerate(pts):
+        below = -1
+        for mask, c in zip(masks, p):
+            below &= mask[c]
+        if below == 1 << i:
             kept.append(p)
-    return tuple(sorted(kept))
+    return tuple(kept)
 
 
 def _minimalize3(pts: list[Exponent]) -> tuple[Exponent, ...]:
@@ -86,6 +132,33 @@ def _minimalize3(pts: list[Exponent]) -> tuple[Exponent, ...]:
     return tuple(kept)
 
 
+def _staircase_product(
+    gens: Sequence[Exponent], others: Sequence[Exponent]
+) -> tuple[Exponent, ...]:
+    """Minimal generators of a product of two plane ideals.
+
+    Keeps the least y per x over all pairwise sums, as ints, then one
+    sweep over ascending x keeps the strictly falling staircase.
+    """
+    least: dict[int, int] = {}
+    get = least.get
+    for gx, gy in gens:
+        for hx, hy in others:
+            x = gx + hx
+            y = gy + hy
+            b = get(x)
+            if b is None or y < b:
+                least[x] = y
+    kept: list[Exponent] = []
+    low: int | None = None
+    for x in sorted(least):
+        y = least[x]
+        if low is None or y < low:
+            kept.append((x, y))
+            low = y
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generator antichain.
@@ -111,18 +184,27 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_same_dim(other)
-        return MonomialIdeal(self.dim, minimalize(self.gens + other.gens, self.dim))
+        merged = sorted(set(self.gens + other.gens))
+        return MonomialIdeal(self.dim, _minimal(merged, self.dim))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_same_dim(other)
         if not self.gens or not other.gens:
             return MonomialIdeal(self.dim, ())
-        prods = {
-            tuple(a + b for a, b in zip(g, h))
-            for g in self.gens
-            for h in other.gens
-        }
-        return MonomialIdeal(self.dim, minimalize(prods, self.dim))
+        if other.is_unit():
+            return self
+        if self.is_unit():
+            return other
+        if self.dim == 2:
+            return MonomialIdeal(2, _staircase_product(self.gens, other.gens))
+        if self.dim == 3:
+            # unpacked sums build the set several times faster than map(add)
+            prods = {
+                (a + x, b + y, c + z) for a, b, c in self.gens for x, y, z in other.gens
+            }
+        else:
+            prods = {tuple(map(add, g, h)) for g in self.gens for h in other.gens}
+        return MonomialIdeal(self.dim, _minimal(sorted(prods), self.dim))
 
     def power(self, k: int) -> "MonomialIdeal":
         """k-th power, by binary exponentiation with minimalization at each step."""
@@ -160,7 +242,7 @@ class MonomialIdeal:
         """
         if not self.is_primary():
             raise ValueError("colength is finite only for primary ideals")
-        return _colength(list(self.gens), self.dim)
+        return _colength(self.gens, self.dim)
 
     def newton_vertices(self) -> polytope.RationalPolytope:
         """Vertices of the Newton polyhedron conv(gens) + R_{>=0}^d.
@@ -232,7 +314,7 @@ def _pure_power(gens: Sequence[Exponent], axis: int) -> int:
     return best
 
 
-def _colength(gens: list[Exponent], dim: int) -> int:
+def _colength(gens: Sequence[Exponent], dim: int) -> int:
     if dim == 1:
         return min(g[0] for g in gens)
     if dim == 2:
@@ -240,27 +322,24 @@ def _colength(gens: list[Exponent], dim: int) -> int:
     # Slice along the last coordinate.  The slice ideal at height t is
     # generated by the projections of generators with last coordinate <= t;
     # it only changes at heights where new generators are admitted, so the
-    # inner colength is recomputed once per distinct height.
+    # inner colength is recomputed only when the slice antichain changes.
     bound = _pure_power(gens, dim - 1)
     if bound == 0:
         return 0
     order = sorted(gens, key=lambda g: g[-1])
-    kept: list[Exponent] = []
+    kept: tuple[Exponent, ...] = ()
     total = 0
     idx = 0
     t = 0
     current = 0
     while t < bound:
-        changed = False
+        new = set(kept)
         while idx < len(order) and order[idx][-1] <= t:
-            p = order[idx][:-1]
+            new.add(order[idx][:-1])
             idx += 1
-            if any(all(q[i] <= p[i] for i in range(dim - 1)) for q in kept):
-                continue
-            kept = [q for q in kept if not all(p[i] <= q[i] for i in range(dim - 1))]
-            kept.append(p)
-            changed = True
-        if changed:
+        slice_gens = _minimal(sorted(new), dim - 1)
+        if slice_gens != kept:
+            kept = slice_gens
             current = _colength(kept, dim - 1)
         nxt = order[idx][-1] if idx < len(order) else bound
         nxt = min(nxt, bound)
@@ -269,7 +348,7 @@ def _colength(gens: list[Exponent], dim: int) -> int:
     return total
 
 
-def _colength_2d(gens: list[Exponent]) -> int:
+def _colength_2d(gens: Sequence[Exponent]) -> int:
     # gens form an antichain with pure powers on both axes, so sorting by x
     # gives strictly descending y starting from (0, y_max).
     pts = sorted(gens)

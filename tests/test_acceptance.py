@@ -200,7 +200,7 @@ def _instance_pool(rng):
 
 def test_6_random_instances_positivity_and_vanishing():
     ladders = {1: ((8, 16, 32), 2), 2: ((16, 32, 64), 3), 3: ((6, 8, 10, 12), 4)}
-    with budget(120.0):
+    with budget(30.0):
         instances = _instance_pool(random.Random(20260819))
         assert len(instances) == 50
         worst_touch = F(0)
@@ -295,3 +295,14 @@ def test_8_random_primary_colengths_match_box_count():
             I = random_primary_ideal(rng, dim, 6)
             assert I.colength() == brute_colength(I.gens, dim)
         print("500 random primary ideals agree with the box count")
+
+
+def test_9_dimension_four_exact_multiplicity():
+    with budget(5.0):
+        pure = mo.ideal(4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+        est = mu.multiplicity_estimate(
+            ft.adic(pure), backend=mu.TRUNCATION_EXACT, trunc_level=1
+        )
+        print(f"dim-4 multiplicity of (x^2, y^2, z^2, w^2): {est.value}")
+        assert est.method == mu.TRUNCATION_EXACT
+        assert est.value == 16

@@ -1,5 +1,6 @@
 """Filtration level computation, truncation, periods, submultiplicativity."""
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -129,6 +130,36 @@ class TestLevels:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(f.ideal_at, levels))
         assert all(g == expected[n] for g, n in zip(got, levels))
+
+
+def whole_box_level(f, n):
+    """Level n of a rounded-valuation filtration from every box point."""
+    bounds = [f.scale.scaled_ceiling(n, w) for w in f.weights]
+    hits = [
+        a
+        for a in itertools.product(*(range(b + 1) for b in bounds))
+        if f.scale.reaches(sum((w * c for w, c in zip(f.weights, a)), F(0)), n)
+    ]
+    return mo.ideal(f.dim, hits)
+
+
+class TestRoundedValuationOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "scale",
+        [ft.rational_scale(1), ft.rational_scale(7, 4), ft.root_scale(2), ft.root_scale(5, 3)],
+        ids=["1", "7/4", "sqrt2", "sqrt5/3"],
+    )
+    def test_levels_match_whole_box(self, dim, scale):
+        weight_sets = {
+            1: [(F(1),), (F(3, 2),), (F(2, 3),)],
+            2: [(F(1), F(3, 2)), (F(5, 4), F(2, 3)), (F(3), F(1))],
+            3: [(F(1), F(1), F(1)), (F(3, 2), F(1), F(5, 4)), (F(2), F(4, 3), F(1))],
+        }[dim]
+        for weights in weight_sets:
+            f = ft.rounded_valuation(weights, scale)
+            for n in range(1, 9):
+                assert f.ideal_at(n) == whole_box_level(f, n), (weights, n)
 
 
 class TestConstructorValidation:

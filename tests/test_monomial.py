@@ -1,5 +1,6 @@
 """Ideal arithmetic against brute-force oracles and known staircases."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -47,6 +48,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ideal(2, [])
 
+    @pytest.mark.parametrize(
+        "bad", [2.7, 2.0, Fraction(5, 2), Fraction(2), "3", True, False, None]
+    )
+    def test_rejects_non_int_exponent(self, bad):
+        # exponents are ints, never coerced: 2.7 must not become 2
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            ideal(2, [(bad, 1), (0, 3)])
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            minimalize([(0, 3), (1, bad)], 2)
+
 
 class TestMinimalize:
     def test_antichain_output(self):
@@ -72,6 +83,82 @@ class TestMinimalize:
                 for _ in range(40)
             ]
             assert minimalize(pts, 3) == naive_minimalize(pts, 3)
+
+
+def compositions(k, dim):
+    """Every exponent vector of total degree k: an antichain."""
+    return [c for c in itertools.product(range(k + 1), repeat=dim) if sum(c) == k]
+
+
+class TestMinimalizeLarge:
+    """The dim >= 4 bitset kernel against the naive filter on big sets."""
+
+    @pytest.mark.parametrize("dim,k", [(4, 12), (5, 8)])
+    def test_equal_degree_antichain_survives_whole(self, dim, k):
+        pts = compositions(k, dim)
+        assert len(pts) >= 300
+        rng = random.Random(1729)
+        rng.shuffle(pts)
+        got = minimalize(pts, dim)
+        assert got == naive_minimalize(pts, dim) == tuple(sorted(pts))
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_heavy_coordinate_ties(self, dim):
+        rng = random.Random(1729 + dim)
+        for _ in range(3):
+            pts = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(400)]
+            pts += [tuple(rng.choice((0, 5)) for _ in range(dim)) for _ in range(40)]
+            assert minimalize(pts, dim) == naive_minimalize(pts, dim)
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_heavily_dominated_cloud(self, dim):
+        # a few low points under a large random cloud: most points fall
+        rng = random.Random(2729 + dim)
+        for _ in range(3):
+            pts = [tuple(rng.randint(0, 30) for _ in range(dim)) for _ in range(350)]
+            pts += [tuple(rng.randint(0, 8) for _ in range(dim)) for _ in range(10)]
+            got = minimalize(pts, dim)
+            assert got == naive_minimalize(pts, dim)
+            assert len(got) < len(set(pts)) // 2
+
+
+class TestProductKernels:
+    """Products and powers against the naive filter of all pairwise sums."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_product_matches_naive_pairwise_sums(self, dim):
+        rng = random.Random(1729 + dim)
+        cap = {1: 9, 2: 9, 3: 5, 4: 3}[dim]
+        for trial in range(40):
+            I = random_primary_ideal(rng, dim, cap)
+            J = random_primary_ideal(rng, dim, cap)
+            if trial % 8 == 0:
+                I = unit_ideal(dim)
+            elif trial % 8 == 1:
+                J = unit_ideal(dim)
+            sums = [tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens]
+            assert (I * J).gens == naive_minimalize(sums, dim)
+            assert (I + J).gens == naive_minimalize(I.gens + J.gens, dim)
+
+    def test_unit_factor_returns_other_factor(self):
+        I = ideal(3, [(2, 0, 0), (0, 1, 1), (0, 0, 3), (0, 2, 0)])
+        assert I * unit_ideal(3) is I
+        assert unit_ideal(3) * I is I
+
+    def test_dimension_four_power_matches_repeated_product(self):
+        rng = random.Random(1729)
+        for _ in range(4):
+            I = random_primary_ideal(rng, 4, 2)
+            prod = unit_ideal(4)
+            for k in range(5):
+                assert I.power(k) == prod
+                prod = MonomialIdeal(
+                    4,
+                    naive_minimalize(
+                        [tuple(a + b for a, b in zip(g, h)) for g in prod.gens for h in I.gens],
+                        4,
+                    ),
+                )
 
 
 class TestArithmetic:
@@ -182,6 +269,13 @@ class TestColength:
             dim = rng.randint(1, 3)
             I = random_primary_ideal(rng, dim, 6)
             assert I.colength() == brute_colength(I.gens, dim)
+
+    def test_dimension_four_matches_box_oracle(self, rng):
+        for _ in range(60):
+            I = random_primary_ideal(rng, 4, 3)
+            assert I.colength() == brute_colength(I.gens, 4)
+        J = random_primary_ideal(rng, 4, 3).power(2)
+        assert J.colength() == brute_colength(J.gens, 4)
 
 
 class TestCovolume:
