@@ -9,6 +9,7 @@ suppressed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -17,6 +18,7 @@ from fractions import Fraction
 from . import okounkov, serialize
 from .components import (
     ComponentModel,
+    _parts,
     component_growth,
     component_mixed,
     component_multiplicities,
@@ -27,7 +29,8 @@ from .multiplicity import (
     DEFAULT_LADDER,
     DIRECT,
     TRUNCATION_EXACT,
-    positivity_report,
+    _positivity,
+    _WeightedGrowth,
     product_ideal_at,
     truncation_ladder,
 )
@@ -146,7 +149,7 @@ def validate(config: dict) -> list[str]:
         problems.append(f"unknown params: {sorted(unknown)}")
     r = model.r
 
-    def check_vector(key, allow_zero=True):
+    def check_vector(key):
         v = params.get(key)
         if v is None:
             return
@@ -156,7 +159,7 @@ def validate(config: dict) -> list[str]:
             or not all(_is_int(c) for c in v)
         ):
             problems.append(f"{key} must be a list of {r} integers")
-        elif any(c < 0 for c in v) or (not allow_zero and all(c == 0 for c in v)):
+        elif any(c < 0 for c in v):
             problems.append(f"{key} entries must be nonnegative")
 
     check_vector("sigma")
@@ -199,6 +202,12 @@ def validate(config: dict) -> list[str]:
             problems.append(f"{key} must be a positive integer")
     if "order" in params and (not _is_int(params["order"]) or params["order"] < 2):
         problems.append("order must be an integer of at least 2")
+    elif params.get("backend", DIRECT) == DIRECT and "order" in params:
+        # the direct fit at order k >= 3 interpolates through the last k rungs
+        lad = params.get("ladder", DEFAULT_LADDER)
+        rungs = len(lad) if isinstance(lad, list) else len(DEFAULT_LADDER)
+        if params["order"] > rungs:
+            problems.append(f"order {params['order']} exceeds the {rungs} ladder rungs")
     if "backend" in params and params["backend"] not in (DIRECT, TRUNCATION_EXACT):
         problems.append(f"backend must be {DIRECT!r} or {TRUNCATION_EXACT!r}")
     for key in ("tolerance", "zero_threshold"):
@@ -327,6 +336,9 @@ def _verify_checks(model: ComponentModel, params: dict):
     args = _backend_args(params)
     fs = _single_component(model)
     checks = []
+    # One growth pipeline for every check that reads it, built on first use;
+    # a failed setup is not cached, so each of those checks fails on its own.
+    pipeline = functools.cache(lambda: _WeightedGrowth(_parts(model), **args))
 
     sub_bound = params.get("submult_bound", 8)
     for ci, comp in enumerate(model.components):
@@ -344,17 +356,14 @@ def _verify_checks(model: ComponentModel, params: dict):
 
     def positivity():
         if fs is not None:
-            rep = positivity_report(
-                fs,
-                zero_threshold=serialize.parse_frac(
-                    params.get("zero_threshold", "1/1000")
-                ),
-                **args,
+            rep = _positivity(
+                pipeline(),
+                serialize.parse_frac(params.get("zero_threshold", "1/1000")),
             )
             failing = [c.name for c in rep.checks if not c.passed]
             detail = "all sign checks hold" if rep.ok else f"failing: {failing}"
             return rep.ok, detail, serialize.positivity_report_to_json(rep)
-        rep = component_mixed(model, **args)
+        rep = pipeline().mixed()
         bad = [t for t, est in rep.coeffs.items() if est.value < 0]
         return (
             not bad,
@@ -413,64 +422,50 @@ def _verify_checks(model: ComponentModel, params: dict):
 
         checks.append(("minkowski", minkowski))
 
+    fit_tol = (
+        Fraction(0)
+        if args["backend"] == TRUNCATION_EXACT
+        else serialize.parse_frac(params.get("tolerance", "1/100"))
+    )
+    mixed = functools.cache(lambda: pipeline().mixed())
+    mults = functools.cache(lambda: pipeline().multiplicities())
+
+    def coefficient(key):
+        return mixed().coeffs[serialize.parse_type_key(key)].value
+
+    def colength(key):
+        levels = serialize.parse_type_key(key)
+        return sum(
+            comp.weight * product_ideal_at(comp.filtrations, levels).colength()
+            for comp in model.components
+        )
+
+    def multiplicity(key):
+        return mults()[int(key)].value
+
+    rows = (  # section, value at a key, tolerance, label of a key, plural noun
+        ("coefficients", coefficient, fit_tol, "coefficient {}", "coefficients"),
+        ("colength", colength, 0, "colength at [{}]", "colengths"),
+        ("multiplicity", multiplicity, fit_tol, "multiplicity[{}]", "multiplicities"),
+    )
     expected = params.get("expected", {})
-    if "coefficients" in expected:
-        table = expected["coefficients"]
+    for section, lookup, tol, label, noun in rows:
+        if section not in expected:
+            continue
+        table = expected[section]
 
-        def exp_coeffs(table=table):
-            rep = component_mixed(model, **args)
-            tol = (
-                Fraction(0)
-                if args["backend"] == TRUNCATION_EXACT
-                else serialize.parse_frac(params.get("tolerance", "1/100"))
-            )
+        def check(table=table, lookup=lookup, tol=tol, label=label, noun=noun):
             for key, want in sorted(table.items()):
-                got = rep.coeffs[serialize.parse_type_key(key)].value
+                got = lookup(key)
                 if abs(got - serialize.parse_frac(want)) > tol:
                     return (
                         False,
-                        f"coefficient {key}: got {serialize.frac_str(got)}, expected {want}",
+                        f"{label.format(key)}: got {serialize.frac_str(got)}, expected {want}",
                         None,
                     )
-            return True, f"{len(table)} expected coefficients match", None
+            return True, f"{len(table)} expected {noun} match", None
 
-        checks.append(("expected-coefficients", exp_coeffs))
-    if "colength" in expected:
-        table = expected["colength"]
-
-        def exp_colength(table=table):
-            for key, want in sorted(table.items()):
-                levels = serialize.parse_type_key(key)
-                got = sum(
-                    comp.weight * product_ideal_at(comp.filtrations, levels).colength()
-                    for comp in model.components
-                )
-                if got != serialize.parse_frac(want):
-                    return False, f"colength at [{key}]: got {got}, expected {want}", None
-            return True, f"{len(table)} expected colengths match", None
-
-        checks.append(("expected-colength", exp_colength))
-    if "multiplicity" in expected:
-        table = expected["multiplicity"]
-
-        def exp_mult(table=table):
-            mults = component_multiplicities(model, **args)
-            tol = (
-                Fraction(0)
-                if args["backend"] == TRUNCATION_EXACT
-                else serialize.parse_frac(params.get("tolerance", "1/100"))
-            )
-            for key, want in sorted(table.items()):
-                got = mults[int(key)].value
-                if abs(got - serialize.parse_frac(want)) > tol:
-                    return (
-                        False,
-                        f"multiplicity[{key}]: got {serialize.frac_str(got)}, expected {want}",
-                        None,
-                    )
-            return True, f"{len(table)} expected multiplicities match", None
-
-        checks.append(("expected-multiplicity", exp_mult))
+        checks.append((f"expected-{section}", check))
 
     return checks
 

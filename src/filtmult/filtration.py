@@ -212,7 +212,8 @@ class TruncatedFiltration(Filtration):
             return self.base.ideal_at(n)
         if self.dim == 1:
             return monomial.ideal(1, [(self._exponent_level(n),)])
-        for k in range(self.a + 1, n):
+        # Every level in a+1..max(cache) is cached: warm up from past there.
+        for k in range(max([self.a, *self._cache]) + 1, n):
             self.ideal_at(k)
         acc: MonomialIdeal | None = None
         for i in range(1, min(self.a, n - 1) + 1):

@@ -12,6 +12,7 @@ weighted growth pipeline.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -217,7 +218,8 @@ class _WeightedGrowth:
     input under one rule (truncated at trunc_level when it is given,
     otherwise required to be truncated already) and certifies each part's
     common period; the direct backend sums the parts' ladders rung by rung
-    and extrapolates the sum.
+    and extrapolates the sum.  Growth values are memoized per instance, so
+    mixed() and multiplicities() on one instance share their grid points.
     """
 
     def __init__(
@@ -236,6 +238,7 @@ class _WeightedGrowth:
             raise ValueError("every part must carry the same number of filtrations")
         self.r = counts.pop()
         self.backend = backend
+        self._growth: dict[tuple[int, ...], LimitEstimate] = {}
         if backend == TRUNCATION_EXACT:
             self.parts = []
             notes = []
@@ -260,8 +263,22 @@ class _WeightedGrowth:
         else:
             raise ValueError(f"unknown backend {backend!r}")
 
+    def restricted(self, keep) -> _WeightedGrowth:
+        """This pipeline over the filtrations at the indices in keep, sharing
+        their resolved filtrations and periods (a period of all is one of each)."""
+        sub = copy.copy(self)
+        sub.r, sub._growth = len(keep), {}
+        sub.parts = [(w, [fs[j] for j in keep], *rest) for w, fs, *rest in self.parts]
+        return sub
+
     def growth(self, n) -> LimitEstimate:
-        """Limit of the weight-summed ell(R/product at m*n)/m^d."""
+        """Limit of the weight-summed ell(R/product at m*n)/m^d, memoized."""
+        n = tuple(n)
+        if n not in self._growth:
+            self._growth[n] = self._limit(n)
+        return self._growth[n]
+
+    def _limit(self, n: tuple[int, ...]) -> LimitEstimate:
         if self.backend == TRUNCATION_EXACT:
             value = sum(
                 (w * exact_growth(fs, n, s) for w, fs, s in self.parts), start=Fraction(0)
@@ -432,15 +449,15 @@ def positivity_report(
     zero_threshold: Fraction = DEFAULT_ZERO_THRESHOLD,
     order: int = 2,
 ) -> PositivityReport:
-    fs = list(fs)
-    report = mixed_multiplicities(
-        fs,
-        backend=backend,
-        trunc_level=trunc_level,
-        ladder=ladder,
-        check_bound=check_bound,
-        order=order,
-    )
+    growth = _WeightedGrowth([(1, fs)], backend, trunc_level, ladder, check_bound, order)
+    return _positivity(growth, zero_threshold)
+
+
+def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> PositivityReport:
+    """Positivity report of one pipeline's mixed multiplicities; the reduced
+    instance is the same pipeline restricted to the surviving indices."""
+    backend = growth.backend
+    report = growth.mixed()
     d, r = report.d, report.r
     single = []
     positives = []
@@ -505,14 +522,7 @@ def positivity_report(
             )
         )
     else:
-        sub = mixed_multiplicities(
-            [fs[j] for j in positives],
-            backend=backend,
-            trunc_level=trunc_level,
-            ladder=ladder,
-            check_bound=check_bound,
-            order=order,
-        )
+        sub = growth.restricted(positives).mixed()
         mismatches = []
         not_positive = []
         for t_sub, e_sub in sub.coeffs.items():

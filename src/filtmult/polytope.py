@@ -145,12 +145,6 @@ def _shoelace(ring: list) -> Fraction:
     return abs(s) / 2
 
 
-def _det(rows: list[list]) -> Fraction:
-    if all(isinstance(x, int) for row in rows for x in row):
-        return Fraction(int_det(rows))
-    return frac_det(rows)
-
-
 def _normal_through(points: Sequence[Sequence], dim: int):
     """Normal of the affine hyperplane through dim points, or None if degenerate.
 
@@ -163,16 +157,14 @@ def _normal_through(points: Sequence[Sequence], dim: int):
     sign = 1
     for k in range(dim):
         minor = [[row[i] for i in range(dim) if i != k] for row in diffs]
-        normal.append(sign * _det_raw(minor))
+        normal.append(sign * _det(minor))
         sign = -sign
     if all(x == 0 for x in normal):
         return None
     return normal
 
 
-def _det_raw(rows: list[list]):
-    if not rows:
-        return 1
+def _det(rows: list[list]):
     if all(isinstance(x, int) for row in rows for x in row):
         return int_det(rows)
     return frac_det(rows)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from filtmult import cli, serialize
+from filtmult import multiplicity as mu
 from filtmult.components import two_branch_model
+from filtmult.filtration import PeriodNotCertified
 
 PLANE_PAIR = "configs/plane_pair.json"
 LINE_PLUS = "configs/line_plus_powers.json"
@@ -121,6 +123,11 @@ class TestInputProblems:
                 "expected coefficients key must be 2 comma-separated nonnegative"
                 " integers summing to 2: '1,1,0'",
             ),
+            ({"backend": "direct", "order": 4}, "order 4 exceeds the 3 ladder rungs"),
+            (
+                {"backend": "direct", "ladder": [8, 16, 32, 64], "order": 5},
+                "order 5 exceeds the 4 ladder rungs",
+            ),
         ],
     )
     def test_bad_params_are_config_errors(self, capsys, tmp_path, params, message):
@@ -131,6 +138,13 @@ class TestInputProblems:
         assert rc == 1
         assert out == ""
         assert f"config error: {message}" in err
+
+    def test_order_up_to_the_ladder_rungs_is_accepted(self, capsys, tmp_path):
+        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg["params"] = {"backend": "direct", "ladder": [2, 4, 8, 16], "order": 4}
+        assert cli.validate(cfg) == []
+        rc, _, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0 and err == ""
 
     def test_verify_has_no_csv(self, capsys):
         rc, _, err = run(
@@ -388,6 +402,44 @@ class TestVerifyFailures:
             "config error: expected multiplicity key must be a filtration index in [0, 2): '-1'"
             in err
         )
+
+
+class TestSharedPipeline:
+    """verify builds one growth pipeline and every check that needs it reads
+    that one, so each filtration is certified once per run."""
+
+    def test_each_filtration_certified_once(self, capsys, monkeypatch):
+        calls = []
+        real = mu.noetherian_period
+
+        def counted(f, *args):
+            calls.append(f)
+            return real(f, *args)
+
+        monkeypatch.setattr(mu, "noetherian_period", counted)
+        rc, _, _ = run(capsys, ["verify", "--config", PLANE_PAIR, "--no-timestamp"])
+        assert rc == 0
+        assert len(calls) == 2
+
+    def test_failed_setup_fails_each_dependent_check(self, capsys, monkeypatch):
+        def uncertified(f, *args):
+            raise PeriodNotCertified(1, 1)
+
+        monkeypatch.setattr(mu, "noetherian_period", uncertified)
+        rc, out, _ = run(capsys, ["verify", "--config", PLANE_PAIR, "--no-timestamp"])
+        assert rc == 2
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        dependent = ["positivity", "expected-coefficients", "expected-multiplicity"]
+        assert json.loads(out)["failed"] == dependent
+        for name in dependent:
+            assert checks[name]["detail"].startswith("check raised PeriodNotCertified")
+        for name in (
+            "submultiplicative[c0.f0]",
+            "submultiplicative[c0.f1]",
+            "minkowski",
+            "expected-colength",
+        ):
+            assert checks[name]["passed"] is True
 
 
 class TestDeterminism:

@@ -251,6 +251,22 @@ class TestTruncation:
         t = ft.truncate(base, 4)
         assert t.a == 4 and t.base is base
 
+    def test_deep_level_warms_up_in_linear_time(self, monkeypatch):
+        # the warm-up starts past the cached levels, so each level below the
+        # target is built once from a few reads instead of re-walked per miss
+        calls = []
+        real = ft.Filtration.ideal_at
+
+        def counted(self, n):
+            calls.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(ft.Filtration, "ideal_at", counted)
+        base = mo.ideal(2, [(2, 0), (1, 1), (0, 3)])
+        deep = ft.truncate(ft.adic(base), 2).ideal_at(192)
+        assert len(calls) < 2000
+        assert deep == base.power(192)
+
     def test_dimension_one_matches_generic_recurrence(self):
         # the exponent fast path must agree with the ideal-level recurrence
         t = ft.truncate(sqrt2_filtration(), 3)
