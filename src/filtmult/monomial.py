@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
@@ -251,8 +252,15 @@ class MonomialIdeal:
         the recession cone (the positive orthant) is implicit.
         """
         self._check_geometry_dim()
-        ext = polytope.orthant_extremes([tuple(map(Fraction, g)) for g in self.gens])
+        ext = (tuple(map(Fraction, v)) for v in self._extremes)
         return polytope.RationalPolytope(self.dim, tuple(sorted(ext)))
+
+    @cached_property
+    def _extremes(self) -> tuple[Exponent, ...]:
+        """Generators at the vertices of the Newton polyhedron, found once
+        per ideal: filtrations memoize their levels, so exact growth reuses
+        them at every grid point."""
+        return tuple(polytope.orthant_extremes(self.gens))
 
     def covolume(self) -> Fraction:
         """Volume of the orthant complement of the Newton polyhedron, exact.
@@ -260,12 +268,16 @@ class MonomialIdeal:
         This is the normalized limit of colength(I^n)/n^d; the multiplicity
         is d! times this value.
         """
-        self._check_geometry_dim()
-        if not self.is_primary():
-            raise ValueError("covolume is finite only for primary ideals")
+        self._check_covolume()
         if self.is_unit():
             return Fraction(0)
         return polytope.orthant_covolume(self.gens, self.dim)
+
+    def _check_covolume(self) -> None:
+        """Raise unless the covolume is defined: dimension <= 4, primary."""
+        self._check_geometry_dim()
+        if not self.is_primary():
+            raise ValueError("covolume is finite only for primary ideals")
 
     def _check_same_dim(self, other: "MonomialIdeal") -> None:
         if self.dim != other.dim:

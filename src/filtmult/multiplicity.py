@@ -2,12 +2,15 @@
 
 Direct ladders estimate the normalized limit of ell(R/product)/m^d;
 certified periods turn truncated filtrations into exact covolume
-computations; sampling the growth function on a unisolvent grid and
-solving the exact Vandermonde system extracts mixed multiplicities; the
-positivity report checks the sign and vanishing structure those
-coefficients must satisfy.  Multiplicities and mixed multiplicities, of a
-filtration list or of a weighted component model, all come from one
-weighted growth pipeline.
+computations.  The exact growth at n is the covolume of the Minkowski sum
+sum_j n_j*NP(I_j) of the level-s Newton polyhedra, since NP(IJ) =
+NP(I) + NP(J) and NP(I^k) = k*NP(I); it is computed from sums of their
+vertices, never from a product ideal.  Sampling the growth function on a
+unisolvent grid and solving the exact Vandermonde system extracts mixed
+multiplicities; the positivity report checks the sign and vanishing
+structure those coefficients must satisfy.  Multiplicities and mixed
+multiplicities, of a filtration list or of a weighted component model,
+all come from one weighted growth pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, monomial
+from . import linalg, monomial, polytope
 from .filtration import (
     Filtration,
     PeriodCertificate,
@@ -149,19 +152,28 @@ def exact_growth(fs, n, s: int) -> Fraction:
     """Exact limit of ell(product at m*n)/m^d along multiples of s.
 
     Requires s to be a certified period of every filtration: the level-s
-    ideal then generates all deeper levels, and the limit is the covolume
-    of the product of its n_j-th powers, scaled by s^d.
+    ideal I_j then generates all deeper levels, and the limit is the
+    covolume of the Newton polyhedron of prod_j I_j^{n_j}, scaled by s^d.
+    No product ideal is formed.  Newton polyhedra turn products into
+    Minkowski sums, NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I), so that
+    polyhedron is sum_j n_j*NP(I_j), a mixed covolume of the levels, and
+    its vertices lie among the sums sum_j n_j*v_j of one vertex v_j of each
+    NP(I_j).  The value is exactly the covolume of the product ideal.
     """
     fs = list(fs)
     n = tuple(n)
     d = _common_dim(fs)
-    prod = monomial.unit_ideal(d)
-    for f, nj in zip(fs, n):
-        if nj:
-            prod = prod * f.ideal_at(s).power(nj)
-    if prod.is_unit():
+    levels = [(f.ideal_at(s), nj) for f, nj in zip(fs, n) if nj]
+    if all(level.is_unit() for level, _ in levels):
         return Fraction(0)
-    return prod.covolume() / Fraction(s**d)
+    sums = [(0,) * d]
+    for k, (level, nj) in enumerate(levels):
+        level._check_covolume()
+        if k >= 2:
+            # reduce the running sum, so three or more factors stay small
+            sums = polytope.orthant_extremes(sums)
+        sums = [tuple(a + nj * b for a, b in zip(u, v)) for u in sums for v in level._extremes]
+    return polytope.orthant_covolume(sums, d) / s**d
 
 
 def sample_grid(d: int, r: int) -> tuple[tuple[int, ...], ...]:

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from filtmult import filtration as ft
 from filtmult.monomial import ideal
 
 
@@ -71,3 +72,34 @@ def random_primary_ideal(rng: random.Random, dim: int, max_exp: int):
 @pytest.fixture
 def rng():
     return random.Random(1729)
+
+
+FILTRATION_KINDS = ("adic", "fixed-plus-adic", "rounded-rational", "rounded-root", "rescaled")
+
+
+def small_primary_ideal(rng: random.Random, dim: int):
+    """Pure powers 1..2 on every axis and at most one 0/1 generator inside."""
+    gens = [tuple(rng.randint(1, 2) if i == ax else 0 for i in range(dim)) for ax in range(dim)]
+    inner = tuple(rng.randint(0, 1) for _ in range(dim))
+    if any(inner):
+        gens.append(inner)
+    return ideal(dim, gens)
+
+
+def random_filtration(rng: random.Random, dim: int, kind: str):
+    """A small filtration of the given kind: adic, fixed-plus-adic,
+    rounded-valuation with a rational or a sqrt(2) scale, or a stride-2
+    rescale of one of those."""
+    if kind == "adic":
+        return ft.adic(small_primary_ideal(rng, dim))
+    if kind == "fixed-plus-adic":
+        fixed = ideal(dim, [tuple(rng.randint(0, 1) for _ in range(dim - 1)) + (1,)])
+        return ft.fixed_plus_adic(fixed, small_primary_ideal(rng, dim))
+    weights = [rng.randint(1, 2) for _ in range(dim)]
+    if kind == "rounded-rational":
+        return ft.rounded_valuation(weights, ft.rational_scale(rng.randint(1, 3), 2))
+    if kind == "rounded-root":
+        return ft.rounded_valuation(weights, ft.root_scale(2))
+    if kind == "rescaled":
+        return ft.rescale(random_filtration(rng, dim, rng.choice(FILTRATION_KINDS[:4])), 2)
+    raise ValueError(f"unknown kind {kind!r}")

@@ -306,3 +306,31 @@ def test_9_dimension_four_exact_multiplicity():
         print(f"dim-4 multiplicity of (x^2, y^2, z^2, w^2): {est.value}")
         assert est.method == mu.TRUNCATION_EXACT
         assert est.value == 16
+
+
+def test_10_exact_mixed_multiplicities_from_minkowski_sums():
+    # The exact backend adds vertices of the level Newton polyhedra instead
+    # of multiplying ideal powers out; both values are exact.
+    with budget(3.0):
+        I = mo.ideal(3, [(3, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
+        J = mo.ideal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
+        x = mo.ideal(3, [(1, 0, 0)])
+        rep = mu.mixed_multiplicities(
+            [ft.adic(I), ft.fixed_plus_adic(x, J)], mu.TRUNCATION_EXACT, trunc_level=2
+        )
+        got = {t: e.value for t, e in rep.coeffs.items()}
+        print(f"dim-3 pair: {got}")
+        assert got == {(3, 0): 10, (2, 1): F(5, 2), (1, 2): 2, (0, 3): 3}
+    with budget(5.0):
+        # NP(K) = NP(m^2), so the coefficients are 2^(4-i) for i copies of m
+        K = mo.ideal(
+            4,
+            [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+             (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)],
+        )
+        rep = mu.mixed_multiplicities(
+            [ft.adic(K), ft.adic(mo.maximal_ideal(4))], mu.TRUNCATION_EXACT, trunc_level=1
+        )
+        got = [rep.coeffs[(4 - i, i)].value for i in range(5)]
+        print(f"dim-4 pair: {got}")
+        assert got == [16, 8, 4, 2, 1]

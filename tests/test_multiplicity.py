@@ -1,5 +1,6 @@
 """Growth limits, mixed multiplicities, truncation ladders, positivity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
+
+from conftest import FILTRATION_KINDS, random_filtration
 
 
 def maximal_adic():
@@ -96,6 +99,90 @@ class TestExactGrowth:
         base = mu.exact_growth(pair, (1, 1), 1)
         for k in (2, 3):
             assert mu.exact_growth(pair, (k, k), 1) == k**2 * base
+
+
+def product_covolume_growth(fs, n, s):
+    """Slow oracle: covolume of the product of level-s ideal powers."""
+    d = fs[0].dim
+    prod = mo.unit_ideal(d)
+    for f, nj in zip(fs, n):
+        prod = prod * f.ideal_at(s).power(nj)
+    return prod.covolume() / s**d
+
+
+# (dim, kinds, largest truncation level).  The oracle's product ideals grow
+# fast in dims 3 and 4, so those cases keep to few, small factors.
+_HEAVY_CASES = [
+    (3, ("adic",), 2),
+    (3, ("fixed-plus-adic",), 2),
+    (3, ("rounded-rational",), 2),
+    (3, ("rounded-root",), 2),
+    (3, ("rescaled",), 1),
+    (3, ("adic", "rounded-root"), 1),
+    (3, ("adic", "fixed-plus-adic", "rounded-rational"), 1),
+    (4, ("adic",), 1),
+]
+_LIGHT_CASES = [
+    (d, tuple(FILTRATION_KINDS[(k + j) % 5] for j in range(r)), 3)
+    for d in (1, 2)
+    for r in (1, 2, 3)
+    for k in range(5)
+]
+
+
+class TestMinkowskiGrowthOracle:
+    """exact_growth sums vertices of the level Newton polyhedra; the slow
+    path multiplies the level ideals out.  Both must agree everywhere."""
+
+    @pytest.mark.parametrize(
+        "case",
+        list(enumerate(_LIGHT_CASES + _HEAVY_CASES)),
+        ids=lambda c: f"d{c[1][0]}-{'+'.join(c[1][1])}-a{c[1][2]}-{c[0]}",
+    )
+    def test_every_grid_point_matches_product_covolume(self, case):
+        seed, (d, kinds, amax) = case
+        rng = random.Random(9000 + seed)
+        fs = [ft.truncate(random_filtration(rng, d, k), rng.randint(1, amax)) for k in kinds]
+        pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT, check_bound=4)
+        (_, _, s), = pipe.parts
+        for n in mu.sample_grid(d, len(fs)):
+            assert pipe.growth(n).value == product_covolume_growth(fs, n, s), n
+        if len(fs) > 1:
+            keep = sorted(rng.sample(range(len(fs)), rng.randint(1, len(fs) - 1)))
+            sub = pipe.restricted(keep)
+            fresh = mu._WeightedGrowth(
+                [(1, [fs[j] for j in keep])], mu.TRUNCATION_EXACT, check_bound=4
+            )
+            for n in mu.sample_grid(d, len(keep)):
+                assert sub.growth(n).value == fresh.growth(n).value, (keep, n)
+
+    def test_zero_weights_give_zero(self):
+        f = ft.truncate(maximal_adic(), 1)
+        assert mu.exact_growth([f, f], (0, 0), 1) == 0
+
+
+class TestExactErrorPaths:
+    """The checks covolume() makes on a product ideal apply to each level."""
+
+    def test_dimension_five_is_refused(self):
+        f = ft.adic(mo.maximal_ideal(5))
+        with pytest.raises(ValueError, match="geometric operations are limited to dimension 4"):
+            mu.mixed_multiplicities([f], trunc_level=1, check_bound=2)
+        assert mu.exact_growth([f], (0,), 1) == 0
+
+    def test_non_primary_level_is_refused(self):
+        class PowersOfX(ft.Filtration):
+            kind = "powers-of-x"
+
+            def _level(self, n):
+                return mo.ideal(2, [(n, 0)])
+
+        pair = [maximal_adic(), PowersOfX(2)]
+        with pytest.raises(ValueError, match="covolume is finite only for primary ideals"):
+            mu.mixed_multiplicities(pair, trunc_level=1)
+        with pytest.raises(ValueError, match="covolume is finite only for primary ideals"):
+            mu.exact_growth(pair, (1, 1), 1)
+        assert mu.exact_growth(pair, (1, 0), 1) == F(1, 2)
 
 
 class TestCommonPeriod:
