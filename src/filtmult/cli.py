@@ -30,9 +30,9 @@ from .multiplicity import (
     DIRECT,
     TRUNCATION_EXACT,
     _positivity,
+    _truncation_ladder,
     _WeightedGrowth,
     product_ideal_at,
-    truncation_ladder,
 )
 
 _PARAM_KEYS = {
@@ -296,9 +296,9 @@ def run_mixed(model: ComponentModel, params: dict):
         fs = _single_component(model)
         if fs is None:
             raise CliError("truncation ladders need a single-component model")
-        tl = truncation_ladder(
-            fs, params["truncation_levels"], check_bound=args["check_bound"]
-        )
+        # The model's own report is the ladder entry at trunc_level, if any.
+        known = {args["trunc_level"]: rep} if args["backend"] == TRUNCATION_EXACT else {}
+        tl = _truncation_ladder(fs, params["truncation_levels"], args["check_bound"], known)
         payload["ladder"] = serialize.ladder_to_json(tl)
         csv_text = serialize.ladder_to_csv(tl)
     if csv_text is None:
@@ -375,11 +375,13 @@ def _verify_checks(model: ComponentModel, params: dict):
 
     if fs is not None and model.r == 1:
         cutoff = params.get("cutoff", 16)
+        # One value semigroup for both checks that read it, built on first use.
+        semigroup = functools.cache(
+            lambda: okounkov.value_semigroup(fs, (1,), okounkov.degree_bound(fs, (1,)), cutoff)
+        )
 
         def identity():
-            rep = okounkov.volume_identity_report(
-                fs[0], cutoff, ladder=args["ladder"]
-            )
+            rep = okounkov._volume_identity(fs[0], semigroup(), args["ladder"])
             tol = (
                 serialize.parse_frac(params["tolerance"])
                 if "tolerance" in params
@@ -392,9 +394,8 @@ def _verify_checks(model: ComponentModel, params: dict):
         checks.append(("volume-identity", identity))
 
         def collapse():
-            rep = okounkov.origin_collapse_check(
-                fs[0], cutoff, serialize.parse_frac(params.get("tolerance", "1/8"))
-            )
+            tol = serialize.parse_frac(params.get("tolerance", "1/8"))
+            rep = okounkov._origin_collapse(fs[0], semigroup(), tol)
             ok = (not rep.triggered) or bool(rep.gap_decreasing)
             detail = (
                 "no quotient point near the origin"

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Small dense problems only: the geometry kernel works in dimension <= 4 and
-the polynomial fits have at most a few dozen unknowns.  Everything is done
-with ``fractions.Fraction`` (or plain ints where inputs are integral), so
+Small dense problems only: determinants for the geometry kernel in
+dimension <= 4, ranks, and exact solves for the polynomial and affine fits,
+which have at most a few dozen unknowns.  Everything is done with
+``fractions.Fraction`` (or plain ints where inputs are integral), so
 results are exact and reproducible.
 """
 
@@ -126,62 +127,3 @@ def fit_affine(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction
     c0 = (sy - c1 * sx) / n
     return c0, c1
 
-
-def lp_feasible(a: Matrix, b: Vector) -> bool:
-    """Decide whether {x >= 0 : a x = b} is nonempty, exactly.
-
-    Phase-one simplex with Bland's rule, rational pivots throughout.  Row
-    count is tiny in all callers (at most dimension + 1), column count can
-    reach a few hundred, so pivots are cheap and termination is guaranteed.
-    """
-    m = len(a)
-    if m == 0:
-        return True
-    n = len(a[0])
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        bi = Fraction(b[i])
-        if bi < 0:
-            rows.append([-Fraction(x) for x in a[i]])
-            rhs.append(-bi)
-        else:
-            rows.append([Fraction(x) for x in a[i]])
-            rhs.append(bi)
-    # Tableau columns: n structural vars, m artificials, rhs.
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    ncols = n + m
-    # Objective: minimize sum of artificials; reduced-cost row starts as the
-    # column sums of the constraint rows (artificials net to zero).
-    obj = [sum(tab[i][j] for i in range(m)) for j in range(ncols + 1)]
-    for j in range(n, ncols):
-        obj[j] = Fraction(0)
-    while True:
-        enter = next((j for j in range(n) if obj[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best: Fraction | None = None
-        for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][ncols] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            # Objective unbounded below cannot happen for a sum of
-            # nonnegative artificials; defensive only.
-            return False
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * w for v, w in zip(obj, tab[leave])]
-        basis[leave] = enter
-    return obj[ncols] == 0

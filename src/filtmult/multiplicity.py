@@ -396,12 +396,17 @@ def truncation_ladder(fs, levels, check_bound: int = 16) -> TruncationLadder:
     Successive differences per type vector are attached as convergence
     evidence; no rate is claimed.
     """
+    return _truncation_ladder(fs, levels, check_bound, {})
+
+
+def _truncation_ladder(fs, levels, check_bound: int, known) -> TruncationLadder:
+    """truncation_ladder, taking the report at each level in known as given."""
     steps = list(levels)
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("truncation levels must be strictly increasing")
     entries = []
     for a in steps:
-        rep = mixed_multiplicities(
+        rep = known[a] if a in known else mixed_multiplicities(
             fs, backend=TRUNCATION_EXACT, trunc_level=a, check_bound=check_bound
         )
         entries.append((a, rep))

@@ -187,13 +187,18 @@ def volume_identity_report(
     """Compare the direct growth estimate of one filtration against the
     volume drop its semigroup body carves out of the full simplex."""
     bound = degree_bound([f], (1,))
-    hat_vol = polytope.volume(full_simplex_body(f.dim, bound))
-    body_vol = body(value_semigroup([f], (1,), bound, cutoff)).volume()
+    return _volume_identity(f, value_semigroup([f], (1,), bound, cutoff), ladder)
+
+
+def _volume_identity(f: Filtration, sem: ValueSemigroup, ladder) -> VolumeIdentityReport:
+    """volume_identity_report on the semigroup of f at sigma (1,)."""
+    hat_vol = polytope.volume(full_simplex_body(f.dim, sem.bound))
+    body_vol = body(sem).volume()
     diff = hat_vol - body_vol
     est = _WeightedGrowth([(1, [f])], DIRECT, ladder=ladder).growth((1,))
     return VolumeIdentityReport(
-        cutoff=cutoff,
-        bound=bound,
+        cutoff=sem.cutoff,
+        bound=sem.bound,
         limit=est,
         hat_volume=hat_vol,
         body_volume=body_vol,
@@ -223,7 +228,14 @@ def origin_collapse_check(
     the body must fill the whole simplex in the limit; report how the
     volume gap behaves when the cutoff doubles to its full value."""
     bound = degree_bound([f], (1,))
-    sem = value_semigroup([f], (1,), bound, cutoff)
+    return _origin_collapse(f, value_semigroup([f], (1,), bound, cutoff), tolerance)
+
+
+def _origin_collapse(
+    f: Filtration, sem: ValueSemigroup, tolerance: Fraction
+) -> OriginCollapseReport:
+    """origin_collapse_check on the semigroup of f at sigma (1,)."""
+    bound, cutoff = sem.bound, sem.cutoff
     witness = None
     for i in range(1, cutoff + 1):
         candidate = _smallest_point(sem, i)

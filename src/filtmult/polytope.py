@@ -2,27 +2,35 @@
 
 Polytopes are carried in vertex form.  Hulls, volumes, Minkowski sums,
 halfspace clips and containment tests are all computed in exact rational
-arithmetic: dimension 1 and 2 have direct sweeps, dimension 3 and 4 use
-linear-programming extreme-point filters and brute-force facet enumeration
-over vertex subsets, which is entirely adequate at the vertex counts that
-occur here.
+arithmetic.  Dimension 1 and 2 have direct sweeps.  Dimension 3 and 4
+share one facet hull (_facets): an incremental beneath-beyond
+construction that inserts the farthest outside point first, as Quickhull
+does (Edelsbrunner, Algorithms in Combinatorial Geometry, 1987; Barber,
+Dobkin and Huhdanpaa, ACM TOMS 1996).  It runs on the points scaled to
+integers and returns simplicial facets with integer inner normals.  A
+point set that does not span its space is projected onto coordinates
+that are injective on its affine hull and handled one dimension down.
 
 The module also computes `orthant_covolume`: the volume of the region of
 the positive orthant lying under the Newton polyhedron spanned by a set of
 integer exponents.  That region is star-shaped with respect to the origin,
 so its volume is the sum of pyramids over the bounded facets (the facets
-whose inner normal is strictly positive).
+whose inner normal is strictly positive).  Those facets and the vertices
+of the polyhedron are read off one facet hull of the exponents and far
+points along each axis (_orthant_facets).
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import frac_det, int_det, lp_feasible, matrix_rank
+from .linalg import frac_det, int_det
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -75,8 +83,15 @@ def hull(dim: int, points: Iterable[Sequence]) -> RationalPolytope:
         return RationalPolytope(1, (min(pts), max(pts)))
     if dim == 2:
         return RationalPolytope(2, tuple(sorted(_chain_hull(pts))))
-    ext = [p for p in pts if not _in_hull_of_others(p, pts)]
-    return RationalPolytope(dim, tuple(sorted(ext)))
+    _, ints = _scaled(pts)
+    frame, cols = _frame(ints)
+    if len(cols) < dim:
+        # Flat: the projection onto cols maps vertices to vertices.
+        back = {tuple(p[c] for c in cols): p for p in pts}
+        low = hull(len(cols), list(back))
+        return RationalPolytope(dim, tuple(sorted(back[v] for v in low.vertices)))
+    ext = _vertex_indices(_facets(ints, frame), dim, len(ints))
+    return RationalPolytope(dim, tuple(sorted(pts[i] for i in ext)))
 
 
 def _cross(o: Sequence, a: Sequence, b: Sequence):
@@ -103,17 +118,6 @@ def _chain_hull(pts: list) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _in_hull_of_others(p: RationalPoint, pts: list[RationalPoint]) -> bool:
-    others = [q for q in pts if q != p]
-    if not others:
-        return False
-    d = len(p)
-    a = [[q[i] for q in others] for i in range(d)]
-    a.append([Fraction(1)] * len(others))
-    b = list(p) + [Fraction(1)]
-    return lp_feasible(a, b)
-
-
 def volume(p: RationalPolytope) -> Fraction:
     """Exact volume; zero for empty or lower-dimensional polytopes."""
     verts = list(p.vertices)
@@ -121,18 +125,20 @@ def volume(p: RationalPolytope) -> Fraction:
         return Fraction(0)
     if p.dim == 1:
         return max(v[0] for v in verts) - min(v[0] for v in verts)
-    base = verts[0]
-    diffs = [[v[i] - base[i] for i in range(p.dim)] for v in verts[1:]]
-    if matrix_rank(diffs) < p.dim:
-        return Fraction(0)
     if p.dim == 2:
         ring = _chain_hull(sorted(verts))
         return _shoelace(ring)
-    total = Fraction(0)
-    for simplex in _triangulate(verts, p.dim):
-        rows = [[simplex[k][i] - simplex[0][i] for i in range(p.dim)] for k in range(1, p.dim + 1)]
-        total += abs(_det(rows))
-    return total / factorial(p.dim)
+    d = p.dim
+    den, ints = _scaled(verts)
+    frame, cols = _frame(ints)
+    if len(cols) < d:
+        return Fraction(0)
+    # Cones from one point over every facet; those through it are flat.
+    apex = ints[0]
+    total = 0
+    for _, _, idx in _facets(ints, frame):
+        total += abs(_det([[ints[i][k] - apex[k] for k in range(d)] for i in idx]))
+    return Fraction(total, factorial(d) * den**d)
 
 
 def _shoelace(ring: list) -> Fraction:
@@ -170,90 +176,108 @@ def _det(rows: list[list]):
     return frac_det(rows)
 
 
-def _primitive(normal: Sequence, offset) -> tuple[tuple, object]:
-    """Scale (normal, offset) to a primitive integer form, preserving orientation."""
-    den = 1
-    for x in list(normal) + [offset]:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(Fraction(x) * den) for x in normal]
-    off = int(Fraction(offset) * den)
-    g = 0
-    for x in ints + [off]:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-        off = off // g
-    return tuple(ints), off
+def _dot(a: Sequence, b: Sequence):
+    return sum(map(mul, a, b))
 
 
-def _supporting_facets(verts: list, dim: int):
-    """All facets of conv(verts), assumed full-dimensional.
+def _scaled(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """The points times the lcm of their coordinate denominators, as ints."""
+    den = lcm(*(c.denominator for p in points for c in p))
+    return den, [tuple(int(c * den) for c in p) for p in points]
 
-    Yields (normal, offset, indices) with normal . v >= offset for every
-    vertex and equality exactly on the facet.  Brute force over dim-subsets;
-    fine for the small vertex counts this kernel is used at.
+
+def _frame(pts: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """An affine basis of the integer points, and coordinates that see it.
+
+    Returns (indices, cols): indices starts at 0, the points there are
+    affinely independent and span the affine hull of all points, and cols
+    holds one coordinate per dimension of that hull (the pivot columns of
+    the differences), so projecting onto cols is injective on it.
+    Fraction-free elimination; stops once the points span the space.
     """
-    seen: set = set()
-    out = []
-    n = len(verts)
-    for combo in combinations(range(n), dim):
-        normal = _normal_through([verts[i] for i in combo], dim)
-        if normal is None:
-            continue
-        vals = [sum(normal[i] * v[i] for i in range(dim)) for v in verts]
-        ref = vals[combo[0]]
-        if all(v >= ref for v in vals):
-            pass
-        elif all(v <= ref for v in vals):
+    d = len(pts[0])
+    base = pts[0]
+    basis: list[tuple[int, list[int]]] = []
+    indices = [0]
+    for i in range(1, len(pts)):
+        row = [a - b for a, b in zip(pts[i], base)]
+        for c, b in basis:
+            k = row[c]
+            if k:
+                row = [x * b[c] - k * y for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is not None:
+            basis.append((pivot, row))
+            indices.append(i)
+            if len(basis) == d:
+                break
+    return indices, sorted(c for c, _ in basis)
+
+
+def _facets(pts: Sequence[Sequence[int]], frame: Sequence[int]) -> list[tuple]:
+    """Triangulated boundary of the hull of integer points spanning R^d.
+
+    Starts from the simplex on the d+1 affinely independent points at
+    frame.  Every facet keeps the points strictly beyond it; the farthest
+    point beyond some facet is inserted by replacing all facets it sees
+    with cones from it over their horizon ridges (the ridges seen from one
+    side only).  The points those facets kept move to the first new facet
+    they see; a point that sees none lies in the hull of the points so far
+    and is dropped.  A point on a facet's hyperplane is not beyond it, so
+    coplanar and collinear inputs need no special case: adjacent facets
+    may be coplanar, and _vertex_indices tells the hull's vertices from
+    the other points of the triangulation.
+
+    Returns (normal, offset, indices) triples with normal . x >= offset on
+    every point and equality on the d points at the sorted indices.
+    """
+    d = len(pts[0])
+    inner = [sum(pts[i][k] for i in frame) for k in range(d)]  # (d+1) x an interior point
+
+    def facet(idx):
+        normal = _normal_through([pts[i] for i in idx], d)
+        offset = _dot(normal, pts[idx[0]])
+        if _dot(normal, inner) < (d + 1) * offset:
             normal = [-x for x in normal]
-            vals = [-v for v in vals]
-            ref = -ref
-        else:
-            continue
-        key = _primitive(normal, ref)
-        if key in seen:
-            continue
-        seen.add(key)
-        idxs = tuple(i for i in range(n) if vals[i] == ref)
-        out.append((tuple(normal), ref, idxs))
-    return out
+            offset = -offset
+        return normal, offset, idx, []
+
+    def assign(facets, indices):
+        for i in indices:
+            for f in facets:
+                if _dot(f[0], pts[i]) < f[1]:
+                    f[3].append(i)
+                    break
+
+    live = [facet(tuple(j for j in frame if j != i)) for i in frame]
+    assign(live, [i for i in range(len(pts)) if i not in frame])
+    while True:
+        top = next((f for f in live if f[3]), None)
+        if top is None:
+            return [f[:3] for f in live]
+        normal, offset, _, outside = top
+        apex = max(outside, key=lambda i: offset - _dot(normal, pts[i]))
+        seen = [_dot(f[0], pts[apex]) < f[1] for f in live]
+        visible = [f for f, s in zip(live, seen) if s]
+        ridges = Counter(r for f in visible for r in combinations(f[2], d - 1))
+        new = [facet(tuple(sorted(r + (apex,)))) for r, n in ridges.items() if n == 1]
+        live = [f for f, s in zip(live, seen) if not s] + new
+        assign(new, [i for f in visible for i in f[3] if i != apex])
 
 
-def _triangulate(verts: list, dim: int) -> list[list]:
-    """Triangulate a full-dimensional polytope given by its vertices.
-
-    Returns simplices as (dim+1)-tuples of vertex coordinates.  Cones from
-    the first vertex over triangulated facets that do not contain it.
-    """
-    verts = sorted(verts)
-    if len(verts) == dim + 1:
-        return [verts]
-    if dim == 1:
-        return [[verts[0], verts[-1]]]
-    if dim == 2:
-        ring = _chain_hull(verts)
-        return [[ring[0], ring[i], ring[i + 1]] for i in range(1, len(ring) - 1)]
-    base = verts[0]
-    simplices = []
-    for normal, ref, idxs in _supporting_facets(verts, dim):
-        if sum(normal[i] * base[i] for i in range(dim)) == ref:
-            continue
-        face_pts = [verts[i] for i in idxs]
-        for face_simplex in _triangulate_facet(face_pts, normal, dim):
-            simplices.append([base] + face_simplex)
-    return simplices
-
-
-def _triangulate_facet(face_pts: list, normal: Sequence, dim: int) -> list[list]:
-    """Triangulate a (dim-1)-face embedded in R^dim by projecting out one axis."""
-    axis = max(range(dim), key=lambda k: abs(normal[k]))
-    proj = [tuple(p[i] for i in range(dim) if i != axis) for p in face_pts]
-    index_of = {}
-    for i, q in enumerate(proj):
-        index_of.setdefault(q, i)
-    sub = _triangulate(sorted(set(proj)), dim - 1)
-    return [[face_pts[index_of[q]] for q in simplex] for simplex in sub]
+def _vertex_indices(facets: list[tuple], d: int, n: int) -> list[int]:
+    """Indices below n of the triangulation's points that are vertices of
+    the hull: those where the normals of the facets through the point have
+    rank d.  A point inside a face of dimension >= 1 fails, since every
+    facet through it contains that face."""
+    normals = defaultdict(list)
+    for normal, _, idx in facets:
+        for i in idx:
+            if i < n:
+                normals[i].append(normal)
+    origin = (0,) * d
+    # the normals have rank d iff they and the origin span R^d affinely
+    return [i for i, ns in normals.items() if len(_frame([origin, *ns])[1]) == d]
 
 
 def minkowski_sum(p: RationalPolytope, q: RationalPolytope) -> RationalPolytope:
@@ -312,10 +336,18 @@ def contains_point(p: RationalPolytope, point: Sequence) -> bool:
         return all(
             _cross(ring[i], ring[(i + 1) % len(ring)], x) >= 0 for i in range(len(ring))
         )
-    a = [[v[i] for v in p.vertices] for i in range(p.dim)]
-    a.append([Fraction(1)] * len(p.vertices))
-    b = list(x) + [Fraction(1)]
-    return lp_feasible(a, b)
+    _, ints = _scaled((*p.vertices, x))
+    verts, y = ints[:-1], ints[-1]
+    frame, cols = _frame(verts)
+    if len(cols) < p.dim:
+        # Flat: x must lie in the affine hull, then test one dimension down.
+        if len(_frame(ints)[1]) > len(cols):
+            return False
+        if not cols:  # every vertex is x
+            return True
+        low = RationalPolytope(len(cols), tuple(tuple(v[c] for c in cols) for v in p.vertices))
+        return contains_point(low, tuple(x[c] for c in cols))
+    return all(_dot(normal, y) >= offset for normal, offset, _ in _facets(verts, frame))
 
 
 def _on_segment(ring: list, x: RationalPoint) -> bool:
@@ -331,11 +363,11 @@ def contains_body(p: RationalPolytope, q: RationalPolytope) -> bool:
 
 
 def orthant_extremes(points: Iterable[Sequence]) -> list[tuple]:
-    """Extreme points of conv(points) + positive orthant.
+    """Extreme points of conv(points) + positive orthant, sorted.
 
-    A point survives iff it is not in the convex hull of the others fattened
-    by the orthant.  Dominance and segment prefilters handle the bulk; the
-    exact LP settles the rest.
+    Dimension 2 sweeps the staircase with a monotone chain.  Dimensions 3
+    and 4 drop every point above another one and read the vertices off the
+    facet hull of the rest and their far points (_orthant_facets).
     """
     pts = sorted({tuple(p) for p in points})
     if not pts:
@@ -357,60 +389,42 @@ def orthant_extremes(points: Iterable[Sequence]) -> list[tuple]:
                 stack.pop()
             stack.append(p)
         return stack
-    kept = []
-    by_degree = sorted(pts, key=lambda p: (sum(p), p))
-    for p in by_degree:
-        if not any(all(q[i] <= p[i] for i in range(dim)) and q != p for q in kept):
+    kept = _undominated(pts)
+    _, _, facets = _orthant_facets(kept)
+    return sorted(kept[i] for i in _vertex_indices(facets, dim, len(kept)))
+
+
+def _undominated(pts: Iterable[tuple]) -> list[tuple]:
+    """The distinct points with no other point below them: only these can
+    be vertices of conv(pts) + orthant, and they span the same polyhedron."""
+    kept: list[tuple] = []
+    for p in sorted(set(pts), key=lambda p: (sum(p), p)):
+        if not any(all(a <= b for a, b in zip(q, p)) for q in kept):
             kept.append(p)
-    survivors = []
-    for p in kept:
-        others = [q for q in kept if q != p]
-        if _pair_covers(p, others, dim):
-            continue
-        if not others or not _orthant_lp(p, others, dim):
-            survivors.append(p)
-    return sorted(survivors)
+    return kept
 
 
-def _pair_covers(p: tuple, others: list[tuple], dim: int) -> bool:
-    # Cheap certificate: p above a segment between two other points.
-    n = len(others)
-    for i in range(n):
-        a = others[i]
-        for j in range(i + 1, n):
-            b = others[j]
-            lo, hi = Fraction(0), Fraction(1)
-            ok = True
-            for k in range(dim):
-                coef = a[k] - b[k]
-                rhs = p[k] - b[k]
-                if coef == 0:
-                    if rhs < 0:
-                        ok = False
-                        break
-                elif coef > 0:
-                    hi = min(hi, Fraction(rhs) / Fraction(coef))
-                else:
-                    lo = max(lo, Fraction(rhs) / Fraction(coef))
-                if lo > hi:
-                    ok = False
-                    break
-            if ok and lo <= hi:
-                return True
-    return False
+def _orthant_facets(pts: list[tuple]) -> tuple[int, list[tuple[int, ...]], list[tuple]]:
+    """Facet hull of the undominated points pts and their far points.
 
+    With P = conv(pts) + orthant, the hull Q of pts and the far points
+    t + e_k (t in pts, k an axis, after scaling to integers) lies in P.
+    A far point is never on a face of Q whose inner normal u is strictly
+    positive, as u.(t + e_k) > u.t, so those faces are the bounded faces
+    of P.  A point s of pts that is not a vertex of P is none of Q either:
+    if s = t + r with t in conv(pts) and 0 != r >= 0, then s lies inside
+    the segment from t to s + c*r, a point of the hull of s and its far
+    points for small c > 0; otherwise r = 0 is forced and s lies inside a
+    segment of conv(pts).  So the vertices of P are the points of pts that
+    are vertices of Q.
 
-def _orthant_lp(p: tuple, others: list[tuple], dim: int) -> bool:
-    # Feasibility of: sum(l_q * q) <= p, sum(l_q) = 1, l >= 0 (slacks added).
-    ncols = len(others)
-    a = []
-    for i in range(dim):
-        row = [Fraction(q[i]) for q in others]
-        row.extend(Fraction(1 if j == i else 0) for j in range(dim))
-        a.append(row)
-    a.append([Fraction(1)] * ncols + [Fraction(0)] * dim)
-    b = [Fraction(c) for c in p] + [Fraction(1)]
-    return lp_feasible(a, b)
+    Returns (den, points, facets): pts scaled by den to integers, followed
+    by the far points, and the facets of their hull.
+    """
+    den, ints = _scaled(pts)
+    n, d = len(ints), len(ints[0])
+    ints += [tuple(c + (j == k) for j, c in enumerate(p)) for p in ints[:n] for k in range(d)]
+    return den, ints, _facets(ints, [0] + [n + k for k in range(d)])
 
 
 def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
@@ -422,28 +436,15 @@ def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
     """
     if dim == 1:
         return Fraction(min(g[0] for g in gens))
-    ext = orthant_extremes(gens)
-    if len(ext) == 1:
-        # Single extreme point e: region is the box below it only when e has
-        # a zero coordinate pattern... a lone extreme generator with all
-        # coordinates positive cannot be primary unless dim == 1, so the only
-        # legal case here is the unit ideal.
-        return Fraction(0)
     if dim == 2:
+        ext = orthant_extremes(gens)
         total = Fraction(0)
         for a, b in zip(ext, ext[1:]):
             total += abs(a[0] * b[1] - b[0] * a[1])
         return Fraction(total, 2)
-    total = Fraction(0)
-    for normal, ref, idxs in _supporting_facets(ext, dim):
-        if len(idxs) == len(ext) and all(x < 0 for x in normal):
-            # Degenerate hull: every extreme point lies on this hyperplane, so
-            # both orientations support it; use the inner (positive) one.
-            normal = tuple(-x for x in normal)
-            ref = -ref
-        if any(x <= 0 for x in normal):
-            continue
-        face_pts = [ext[i] for i in idxs]
-        for simplex in _triangulate_facet(face_pts, normal, dim):
-            total += abs(_det([list(p) for p in simplex]))
-    return total / factorial(dim)
+    den, pts, facets = _orthant_facets(_undominated(tuple(g) for g in gens))
+    total = 0
+    for normal, _, idx in facets:
+        if all(x > 0 for x in normal):
+            total += abs(_det([list(pts[i]) for i in idx]))
+    return Fraction(total, factorial(dim) * den**dim)

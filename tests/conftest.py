@@ -1,18 +1,22 @@
 """Shared oracles for the property suites.
 
 Everything here is deliberately naive: box enumeration instead of
-slicing, pairwise domination scans instead of sorted sweeps.  Slow and
-obviously correct is the point.
+slicing, pairwise domination scans instead of sorted sweeps, one exact LP
+per point and a scan over every vertex subset instead of a facet hull.
+Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from filtmult import filtration as ft
+from filtmult import linalg, polytope
 from filtmult.monomial import ideal
 
 
@@ -103,3 +107,202 @@ def random_filtration(rng: random.Random, dim: int, kind: str):
     if kind == "rescaled":
         return ft.rescale(random_filtration(rng, dim, rng.choice(FILTRATION_KINDS[:4])), 2)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+# -- geometry oracles ---------------------------------------------------------
+#
+# The exact LP and brute-force facet enumeration that the dim-3/4 geometry
+# ran on before it had a facet hull.  An LP per point and a scan over every
+# d-subset of the vertices: slow, and independent of the hull kernel.
+
+
+def lp_feasible(a, b):
+    """Decide whether {x >= 0 : a x = b} is nonempty, exactly.
+
+    Phase-one simplex with Bland's rule, rational pivots throughout.
+    """
+    m = len(a)
+    if m == 0:
+        return True
+    n = len(a[0])
+    rows = []
+    rhs = []
+    for i in range(m):
+        bi = Fraction(b[i])
+        if bi < 0:
+            rows.append([-Fraction(x) for x in a[i]])
+            rhs.append(-bi)
+        else:
+            rows.append([Fraction(x) for x in a[i]])
+            rhs.append(bi)
+    # Tableau columns: n structural vars, m artificials, rhs.
+    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    ncols = n + m
+    # Objective: minimize the sum of artificials; the reduced-cost row
+    # starts as the column sums of the constraint rows.
+    obj = [sum(tab[i][j] for i in range(m)) for j in range(ncols + 1)]
+    for j in range(n, ncols):
+        obj[j] = Fraction(0)
+    while True:
+        enter = next((j for j in range(n) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][ncols] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return False
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+    return obj[ncols] == 0
+
+
+def lp_in_hull(x, pts):
+    """Is x a convex combination of pts?"""
+    if not pts:
+        return False
+    d = len(x)
+    a = [[Fraction(q[i]) for q in pts] for i in range(d)]
+    a.append([Fraction(1)] * len(pts))
+    return lp_feasible(a, [Fraction(c) for c in x] + [Fraction(1)])
+
+
+def lp_hull_vertices(points):
+    """Sorted extreme points: those outside the hull of the others."""
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    return tuple(p for p in pts if not lp_in_hull(p, [q for q in pts if q != p]))
+
+
+def lp_orthant_extremes(points):
+    """Sorted extreme points of conv(points) + positive orthant: those not in
+    the hull of the others fattened by the orthant (slack columns)."""
+    pts = sorted({tuple(p) for p in points})
+    out = []
+    for p in pts:
+        others = [q for q in pts if q != p]
+        d = len(p)
+        a = [
+            [Fraction(q[i]) for q in others] + [Fraction(int(j == i)) for j in range(d)]
+            for i in range(d)
+        ]
+        a.append([Fraction(1)] * len(others) + [Fraction(0)] * d)
+        if not others or not lp_feasible(a, [Fraction(c) for c in p] + [Fraction(1)]):
+            out.append(p)
+    return out
+
+
+def _primitive(normal, offset):
+    """(normal, offset) scaled to a primitive integer form, same orientation."""
+    vals = [Fraction(x) for x in list(normal) + [offset]]
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [int(v * den) for v in vals]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def brute_facets(verts, dim):
+    """All facets of conv(verts), assumed full-dimensional, by a scan over
+    every dim-subset: (inner normal, offset, indices on the facet)."""
+    seen = set()
+    out = []
+    n = len(verts)
+    for combo in itertools.combinations(range(n), dim):
+        normal = polytope._normal_through([verts[i] for i in combo], dim)
+        if normal is None:
+            continue
+        vals = [sum(normal[i] * v[i] for i in range(dim)) for v in verts]
+        ref = vals[combo[0]]
+        if all(v >= ref for v in vals):
+            pass
+        elif all(v <= ref for v in vals):
+            normal = [-x for x in normal]
+            vals = [-v for v in vals]
+            ref = -ref
+        else:
+            continue
+        key = _primitive(normal, ref)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((tuple(normal), ref, tuple(i for i in range(n) if vals[i] == ref)))
+    return out
+
+
+def brute_triangulate(verts, dim):
+    """Simplices tiling conv(verts), assumed full-dimensional: cones from
+    the first vertex over the triangulated facets that miss it."""
+    verts = sorted(verts)
+    if len(verts) == dim + 1:
+        return [verts]
+    if dim == 1:
+        return [[verts[0], verts[-1]]]
+    if dim == 2:
+        ring = polytope._chain_hull(verts)
+        return [[ring[0], ring[i], ring[i + 1]] for i in range(1, len(ring) - 1)]
+    base = verts[0]
+    simplices = []
+    for normal, ref, idxs in brute_facets(verts, dim):
+        if sum(normal[i] * base[i] for i in range(dim)) == ref:
+            continue
+        for face in _triangulate_facet([verts[i] for i in idxs], normal, dim):
+            simplices.append([base] + face)
+    return simplices
+
+
+def _triangulate_facet(face_pts, normal, dim):
+    """Triangulate a (dim-1)-face of R^dim by projecting out one axis."""
+    axis = max(range(dim), key=lambda k: abs(normal[k]))
+    proj = [tuple(p[i] for i in range(dim) if i != axis) for p in face_pts]
+    index_of = {}
+    for i, q in enumerate(proj):
+        index_of.setdefault(q, i)
+    sub = brute_triangulate(sorted(set(proj)), dim - 1)
+    return [[face_pts[index_of[q]] for q in simplex] for simplex in sub]
+
+
+def brute_volume(points, dim):
+    """Volume of conv(points) from the brute-force triangulation."""
+    verts = list(lp_hull_vertices(points))
+    if len(verts) <= dim or linalg.matrix_rank(
+        [[v[i] - verts[0][i] for i in range(dim)] for v in verts[1:]]
+    ) < dim:
+        return Fraction(0)
+    total = Fraction(0)
+    for s in brute_triangulate(verts, dim):
+        total += abs(polytope._det([[s[k][i] - s[0][i] for i in range(dim)] for k in range(1, dim + 1)]))
+    return total / math.factorial(dim)
+
+
+def brute_orthant_covolume(gens, dim):
+    """Cones from the origin over the facets of the LP extreme points with a
+    strictly positive inner normal (the bounded facets of the Newton
+    polyhedron); a flat set of extreme points counts its own hyperplane
+    once when that hyperplane has a positive normal."""
+    ext = lp_orthant_extremes(gens)
+    total = Fraction(0)
+    seen = set()
+    for normal, ref, idxs in brute_facets(ext, dim):
+        if len(idxs) == len(ext) and all(x < 0 for x in normal):
+            # both orientations support a flat set; keep the positive one
+            normal, ref = tuple(-x for x in normal), -ref
+        if any(x <= 0 for x in normal) or _primitive(normal, ref) in seen:
+            continue
+        seen.add(_primitive(normal, ref))
+        for s in _triangulate_facet([ext[i] for i in idxs], normal, dim):
+            total += abs(polytope._det([list(p) for p in s]))
+    return total / math.factorial(dim)

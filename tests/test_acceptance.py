@@ -18,7 +18,7 @@ from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 from filtmult import okounkov as ok
 
-from conftest import brute_colength, random_primary_ideal
+from conftest import brute_colength, brute_volume, lp_hull_vertices, random_primary_ideal
 
 
 @contextmanager
@@ -334,3 +334,20 @@ def test_10_exact_mixed_multiplicities_from_minkowski_sums():
         got = [rep.coeffs[(4 - i, i)].value for i in range(5)]
         print(f"dim-4 pair: {got}")
         assert got == [16, 8, 4, 2, 1]
+
+
+def test_11_dim3_body_from_facet_hull():
+    # The semigroup body of adic((x^2, y, z^2, xz)) at degree bound 2 is one
+    # facet hull of 507 distinct quotient points at cutoff 8.
+    f = ft.adic(mo.ideal(3, [(2, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1)]))
+    assert ok.degree_bound([f], (1,)) == 2
+    want = lp_hull_vertices(ok.value_semigroup([f], (1,), 2, 3).quotient_points())
+    with budget(3.0):
+        sem = ok.value_semigroup([f], (1,), 2, 8)
+        b = ok.body(sem)
+        vol = b.volume()
+    print(f"cutoff 8: {len(set(sem.quotient_points()))} points, vertices {b.body.vertices}, volume {vol}")
+    assert b.body.vertices == want
+    # the degree-2 simplex (4/3) less the covolume of NP(I) (2/3)
+    assert vol == F(2, 3) == brute_volume(want, 3)
+    assert b.body.contains_body(ok.body(ok.value_semigroup([f], (1,), 2, 4)).body)

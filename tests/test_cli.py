@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from filtmult import cli, serialize
+from filtmult import cli, okounkov, serialize
 from filtmult import multiplicity as mu
 from filtmult.components import two_branch_model
 from filtmult.filtration import PeriodNotCertified
@@ -440,6 +440,40 @@ class TestSharedPipeline:
             "expected-colength",
         ):
             assert checks[name]["passed"] is True
+
+
+class TestSharedWork:
+    """Work that two parts of one command need is done once."""
+
+    def test_verify_builds_one_value_semigroup(self, capsys, monkeypatch):
+        # volume-identity and origin-collapse read the same semigroup
+        calls = []
+        real = okounkov.value_semigroup
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(okounkov, "value_semigroup", counted)
+        rc, _, _ = run(capsys, ["verify", "--config", SQRT2, "--no-timestamp"])
+        assert rc == 0
+        assert calls == [((1,), 2, 16)]
+
+    def test_mixed_certifies_trunc_level_once(self, capsys, monkeypatch):
+        # trunc_level 4 is also a rung of truncation_levels [1, 2, 4]
+        levels = []
+        real = mu.noetherian_period
+
+        def counted(f, *args):
+            levels.append(f.a)
+            return real(f, *args)
+
+        monkeypatch.setattr(mu, "noetherian_period", counted)
+        rc, out, _ = run(capsys, ["mixed", "--config", SQRT2_TRUNC, "--no-timestamp"])
+        assert rc == 0
+        assert levels == [4, 1, 2]
+        payload = json.loads(out)
+        assert payload["ladder"]["entries"][-1]["mixed"] == payload["mixed"]
 
 
 class TestDeterminism:

@@ -1,8 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import (
+    brute_orthant_covolume,
+    brute_volume,
+    lp_hull_vertices,
+    lp_in_hull,
+    lp_orthant_extremes,
+    random_primary_gens,
+)
 from filtmult import polytope
+from filtmult.monomial import ideal
 from filtmult.polytope import Halfspace, RationalPolytope, clip, hull, minkowski_sum
 
 F = Fraction
@@ -194,6 +204,11 @@ class TestContainment:
         assert polytope.contains_point(tetra, (F(1, 2), F(1, 2), F(1, 2)))
         assert not polytope.contains_point(tetra, (2, 2, 2))
 
+    def test_repeated_vertex_in_space(self):
+        point = RationalPolytope(3, ((F(1), F(2), F(3)),) * 2)
+        assert polytope.contains_point(point, (1, 2, 3))
+        assert not polytope.contains_point(point, (1, 2, 4))
+
 
 class TestOrthantGeometry:
     def test_extremes_drop_dominated(self):
@@ -217,3 +232,98 @@ class TestOrthantGeometry:
         assert polytope.orthant_covolume(
             ((2, 0, 0), (0, 2, 0), (0, 0, 2)), 3
         ) == F(8, 6)
+
+
+def _random_points(rng, dim, n, top=3):
+    """n random points of the box [0, top]^dim, some coordinates halves or
+    thirds."""
+    pts = []
+    for _ in range(n):
+        den = rng.choice((1, 1, 1, 2, 3))
+        pts.append(tuple(F(rng.randint(0, top * den), den) for _ in range(dim)))
+    return pts
+
+
+def _degenerate_sets(rng, dim):
+    """Duplicates, coplanar, collinear and lower-dimensional point sets,
+    a single point, and a simplex with points on its faces."""
+    base = _random_points(rng, dim, 5)
+    yield base + base[:3]  # duplicates
+    # coplanar: every point on the hyperplane x_0 + x_1 = 2
+    yield [(F(a), F(2) - a) + p[2:] for a, p in zip((0, 1, 2, F(1, 2), F(3, 2)), base)]
+    # collinear: a + t*b
+    a, b = base[0], tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+    yield [tuple(ai + t * bi for ai, bi in zip(a, b)) for t in (0, F(1, 3), 1, 2, 5)]
+    # lower-dimensional: the last coordinate is the sum of the first two
+    yield [p[:-1] + (p[0] + p[1],) for p in base]
+    yield [base[0]]
+    simplex = [tuple(F(3 * (i == k)) for i in range(dim)) for k in range(dim)]
+    simplex.append(tuple(F(0) for _ in range(dim)))
+    yield simplex + [tuple(F(1) for _ in range(dim - 1)) + (F(0),), (F(1),) + (F(0),) * (dim - 1)]
+
+
+def _cases(dim, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _random_points(rng, dim, rng.randint(1, 9))
+    yield from _degenerate_sets(rng, dim)
+
+
+class TestFacetHullAgainstOracles:
+    """The facet hull against the exact LP and brute-force facet scans of
+    conftest, on seeded random and degenerate inputs in dims 3 and 4."""
+
+    @pytest.mark.parametrize("dim,count", [(3, 30), (4, 12)])
+    def test_hull_vertices_and_volume(self, dim, count):
+        for pts in _cases(dim, count, 11 * dim):
+            h = hull(dim, pts)
+            assert h.vertices == lp_hull_vertices(pts), pts
+            want = brute_volume(pts, dim)
+            assert h.volume() == want, pts
+            # non-extreme vertices in the list do not change the volume
+            assert polytope.volume(RationalPolytope(dim, tuple(pts))) == want, pts
+
+    @pytest.mark.parametrize("dim,count", [(3, 25), (4, 10)])
+    def test_contains_point(self, dim, count):
+        rng = random.Random(5 + dim)
+        for pts in _cases(dim, count, 7 * dim):
+            body = hull(dim, pts)
+            verts = body.vertices
+            probes = list(verts)  # boundary
+            probes += [tuple((a + b) / 2 for a, b in zip(u, v)) for u in verts for v in verts if u < v]
+            centroid = tuple(sum(c) / len(verts) for c in zip(*verts))
+            probes.append(centroid)  # inside, or on a flat body
+            probes.append(tuple(c + 1 for c in max(verts)))  # outside
+            probes += _random_points(rng, dim, 6)
+            for x in probes:
+                assert body.contains_point(x) == lp_in_hull(x, verts), (pts, x)
+
+    @pytest.mark.parametrize("dim,count", [(3, 30), (4, 12)])
+    def test_orthant_extremes_and_covolume(self, dim, count):
+        rng = random.Random(3 * dim)
+        for _ in range(count):
+            gens = random_primary_gens(rng, dim, 3)
+            gens += [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(rng.randint(0, 4))]
+            assert polytope.orthant_extremes(gens) == lp_orthant_extremes(gens), gens
+            assert polytope.orthant_covolume(gens, dim) == brute_orthant_covolume(gens, dim), gens
+        for pts in _cases(dim, count // 3, 13 * dim):
+            pts = [tuple(c + 2 for c in p) for p in pts]  # off the axes, some collinear
+            assert polytope.orthant_extremes(pts) == lp_orthant_extremes(pts), pts
+            assert polytope.orthant_covolume(pts, dim) == brute_orthant_covolume(pts, dim), pts
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(1, 1, 0)],  # (xy)
+            [(2, 0, 0), (1, 1, 0)],  # (x^2, xy)
+            [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1)],
+            [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0)],
+            # four extreme points on x + y + z = 3: one bounded facet, counted once
+            [(0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 1, 1), (1, 0, 2)],
+        ],
+    )
+    def test_non_primary_newton_vertices(self, gens):
+        dim = len(gens[0])
+        got = ideal(dim, gens).newton_vertices().vertices
+        assert got == tuple(tuple(map(F, v)) for v in lp_orthant_extremes(gens))
+        assert polytope.orthant_covolume(gens, dim) == brute_orthant_covolume(gens, dim)
