@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: box enumeration instead of
 slicing, pairwise domination scans instead of sorted sweeps, one exact LP
-per point and a scan over every vertex subset instead of a facet hull.
-Slow and obviously correct is the point.
+per point, a monotone chain in the plane and a scan over every vertex
+subset instead of a facet hull.  Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def random_filtration(rng: random.Random, dim: int, kind: str):
 
 # -- geometry oracles ---------------------------------------------------------
 #
-# The exact LP and brute-force facet enumeration that the dim-3/4 geometry
-# ran on before it had a facet hull.  An LP per point and a scan over every
+# The exact LP, Andrew's monotone chain in the plane and brute-force facet
+# enumeration.  An LP per point, a Fraction sweep and a scan over every
 # d-subset of the vertices: slow, and independent of the hull kernel.
 
 
@@ -243,6 +243,30 @@ def brute_facets(verts, dim):
     return out
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def chain_hull(pts):
+    """Andrew's monotone chain; pts pre-sorted lexicographically.
+
+    Returns the hull in counterclockwise order, collinear points dropped.
+    """
+    if len(pts) <= 2:
+        return list(pts)
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def brute_triangulate(verts, dim):
     """Simplices tiling conv(verts), assumed full-dimensional: cones from
     the first vertex over the triangulated facets that miss it."""
@@ -252,7 +276,7 @@ def brute_triangulate(verts, dim):
     if dim == 1:
         return [[verts[0], verts[-1]]]
     if dim == 2:
-        ring = polytope._chain_hull(verts)
+        ring = chain_hull(verts)
         return [[ring[0], ring[i], ring[i + 1]] for i in range(1, len(ring) - 1)]
     base = verts[0]
     simplices = []

@@ -288,6 +288,27 @@ class TestMinkowski:
         assert rep.volume_agreement
         assert rep.containment_pass
 
+    def test_builds_each_facet_hull_once(self, monkeypatch):
+        # One hull each for the three semigroup bodies, the Minkowski sum,
+        # its clip and the simplex, plus the hull of body_both's vertices,
+        # which every containment test reads.
+        calls = []
+        facets = pt._facets
+
+        def counted(pts, frame):
+            calls.append(tuple(sorted(pts)))
+            return facets(pts, frame)
+
+        monkeypatch.setattr(pt, "_facets", counted)
+        fs = [
+            ft.adic(mo.ideal(3, [(2, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1)])),
+            ft.adic(mo.maximal_ideal(3)),
+        ]
+        rep = ok.minkowski_checks(fs, (1, 0), (0, 1), 3)
+        assert rep.contained_vertices > 1
+        assert len(calls) == 7
+        assert len(set(calls)) == len(calls)
+
     def test_zero_sigma_collapses_trivially(self):
         rep = ok.minkowski_checks([maximal_adic(), parabola_adic()], (0, 0), (0, 1), 8)
         assert rep.collapse_triggered

@@ -246,20 +246,24 @@ def _random_points(rng, dim, n, top=3):
 
 def _degenerate_sets(rng, dim):
     """Duplicates, coplanar, collinear and lower-dimensional point sets,
-    a single point, and a simplex with points on its faces."""
+    a single point, a simplex with points on its faces, and points with
+    denominators up to 96, as the semigroup bodies' quotient points have."""
     base = _random_points(rng, dim, 5)
     yield base + base[:3]  # duplicates
-    # coplanar: every point on the hyperplane x_0 + x_1 = 2
-    yield [(F(a), F(2) - a) + p[2:] for a, p in zip((0, 1, 2, F(1, 2), F(3, 2)), base)]
+    if dim > 1:
+        # coplanar: every point on the hyperplane x_0 + x_1 = 2
+        yield [(F(a), F(2) - a) + p[2:] for a, p in zip((0, 1, 2, F(1, 2), F(3, 2)), base)]
     # collinear: a + t*b
     a, b = base[0], tuple(F(rng.randint(-2, 2)) for _ in range(dim))
     yield [tuple(ai + t * bi for ai, bi in zip(a, b)) for t in (0, F(1, 3), 1, 2, 5)]
-    # lower-dimensional: the last coordinate is the sum of the first two
-    yield [p[:-1] + (p[0] + p[1],) for p in base]
+    # lower-dimensional: the last coordinate is the sum of (at most) the first two
+    yield [p[:-1] + (sum(p[: min(2, dim - 1)]),) for p in base]
     yield [base[0]]
     simplex = [tuple(F(3 * (i == k)) for i in range(dim)) for k in range(dim)]
     simplex.append(tuple(F(0) for _ in range(dim)))
     yield simplex + [tuple(F(1) for _ in range(dim - 1)) + (F(0),), (F(1),) + (F(0),) * (dim - 1)]
+    dens = rng.sample(range(2, 97), 6)
+    yield [tuple(F(rng.randint(0, 3 * k), k) for _ in range(dim)) for k in dens]
 
 
 def _cases(dim, count, seed):
@@ -270,10 +274,11 @@ def _cases(dim, count, seed):
 
 
 class TestFacetHullAgainstOracles:
-    """The facet hull against the exact LP and brute-force facet scans of
-    conftest, on seeded random and degenerate inputs in dims 3 and 4."""
+    """The facet hull against the exact LP, the monotone chain and the
+    brute-force facet scans of conftest, on seeded random and degenerate
+    inputs in every dimension."""
 
-    @pytest.mark.parametrize("dim,count", [(3, 30), (4, 12)])
+    @pytest.mark.parametrize("dim,count", [(1, 20), (2, 30), (3, 30), (4, 12)])
     def test_hull_vertices_and_volume(self, dim, count):
         for pts in _cases(dim, count, 11 * dim):
             h = hull(dim, pts)
@@ -283,7 +288,7 @@ class TestFacetHullAgainstOracles:
             # non-extreme vertices in the list do not change the volume
             assert polytope.volume(RationalPolytope(dim, tuple(pts))) == want, pts
 
-    @pytest.mark.parametrize("dim,count", [(3, 25), (4, 10)])
+    @pytest.mark.parametrize("dim,count", [(1, 20), (2, 25), (3, 25), (4, 10)])
     def test_contains_point(self, dim, count):
         rng = random.Random(5 + dim)
         for pts in _cases(dim, count, 7 * dim):
@@ -298,7 +303,7 @@ class TestFacetHullAgainstOracles:
             for x in probes:
                 assert body.contains_point(x) == lp_in_hull(x, verts), (pts, x)
 
-    @pytest.mark.parametrize("dim,count", [(3, 30), (4, 12)])
+    @pytest.mark.parametrize("dim,count", [(2, 30), (3, 30), (4, 12)])
     def test_orthant_extremes_and_covolume(self, dim, count):
         rng = random.Random(3 * dim)
         for _ in range(count):
