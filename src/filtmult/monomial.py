@@ -6,16 +6,17 @@ Membership, sums, products and powers are pure set combinatorics on that
 antichain.  Exponents are validated once, where they enter (:func:`ideal`,
 :func:`minimalize`); sums and products hand sorted, deduplicated tuples
 straight to the antichain kernel, which sweeps in dimensions one to three
-and tests dominance with bitsets from four on.  Plane products keep the
-least y per x over all pairwise sums and sweep that staircase once.
-Colengths (the number of standard monomials) are computed exactly by
-coordinate slicing; the geometric quantities (Newton polyhedron vertices,
-covolume) are delegated to the polytope kernel.
+and tests dominance with bitsets from four on.  The kernel lives in
+:mod:`polytope`, whose Newton-polyhedron geometry starts with the same
+step, and is bound here by name.  Plane products keep the least y per x
+over all pairwise sums and sweep that staircase once.  Colengths (the
+number of standard monomials) are computed exactly by coordinate slicing;
+the geometric quantities (Newton polyhedron vertices, covolume) are
+delegated to the polytope kernel.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -23,10 +24,9 @@ from operator import add
 from typing import Iterable, Sequence
 
 from . import polytope
+from .polytope import DIM_CAP, _minimal
 
 Exponent = tuple[int, ...]
-
-GEOMETRY_DIM_CAP = 4
 
 
 def minimalize(gens: Iterable[Sequence[int]], dim: int) -> tuple[Exponent, ...]:
@@ -50,87 +50,6 @@ def minimalize(gens: Iterable[Sequence[int]], dim: int) -> tuple[Exponent, ...]:
                 raise ValueError(f"negative exponent in {p}")
         pts.add(p)
     return _minimal(sorted(pts), dim)
-
-
-def _minimal(pts: list[Exponent], dim: int) -> tuple[Exponent, ...]:
-    """Antichain kernel: pts are sorted, deduplicated, valid exponents.
-
-    Lexicographic order puts every dominator before its victims, which
-    each sweep relies on.
-    """
-    if not pts:
-        return ()
-    if dim == 1:
-        return (pts[0],)
-    if dim == 2:
-        # x ascending, y ascending within equal x: a point survives iff its
-        # y is strictly below every kept y so far.
-        kept2: list[Exponent] = []
-        best_y: int | None = None
-        for p in pts:
-            if best_y is None or p[1] < best_y:
-                kept2.append(p)
-                best_y = p[1]
-        return tuple(kept2)
-    if dim == 3:
-        return _minimalize3(pts)
-    return _minimal_bits(pts, dim)
-
-
-def _minimal_bits(pts: list[Exponent], dim: int) -> tuple[Exponent, ...]:
-    """Dominance by bitsets, for four and more dimensions.
-
-    Bit i stands for pts[i].  For each axis and each value v on it, the
-    prefix mask holds the points whose coordinate there is <= v; the AND
-    of a point's d masks is the set of points below it, so the point is
-    minimal iff that AND is its own bit.  The masks take
-    sum(distinct values per axis) * n bits.
-    """
-    masks = []
-    for k in range(dim):
-        at: dict[int, int] = {}
-        for i, p in enumerate(pts):
-            at[p[k]] = at.get(p[k], 0) | (1 << i)
-        acc = 0
-        for v in sorted(at):
-            acc |= at[v]
-            at[v] = acc
-        masks.append(at)
-    kept = []
-    for i, p in enumerate(pts):
-        below = -1
-        for mask, c in zip(masks, p):
-            below &= mask[c]
-        if below == 1 << i:
-            kept.append(p)
-    return tuple(kept)
-
-
-def _minimalize3(pts: list[Exponent]) -> tuple[Exponent, ...]:
-    """Linear-logarithmic antichain filter for three dimensions.
-
-    Points arrive lexicographically sorted, so a dominator always precedes
-    its victim.  The survivors' (y, z) profile is kept as a front with y
-    ascending and z strictly decreasing; the rightmost entry with y' <= y
-    then carries the least z among all candidates, so one lookup decides
-    dominance.
-    """
-    kept: list[Exponent] = []
-    fy: list[int] = []
-    fz: list[int] = []
-    for p in pts:
-        y, z = p[1], p[2]
-        i = bisect.bisect_right(fy, y) - 1
-        if i >= 0 and fz[i] <= z:
-            continue
-        kept.append(p)
-        j = bisect.bisect_left(fy, y)
-        k = j
-        while k < len(fy) and fz[k] >= z:
-            k += 1
-        fy[j:k] = [y]
-        fz[j:k] = [z]
-    return tuple(kept)
 
 
 def _staircase_product(
@@ -284,8 +203,8 @@ class MonomialIdeal:
             raise ValueError("ambient dimensions differ")
 
     def _check_geometry_dim(self) -> None:
-        if self.dim > GEOMETRY_DIM_CAP:
-            raise ValueError(f"geometric operations are limited to dimension {GEOMETRY_DIM_CAP}")
+        if self.dim > DIM_CAP:
+            raise ValueError(f"geometric operations are limited to dimension {DIM_CAP}")
 
 
 def ideal(dim: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:

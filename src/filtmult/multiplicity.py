@@ -445,18 +445,6 @@ class PositivityReport:
     ok: bool
 
 
-def _classify_positive(value: Fraction, method: str, threshold: Fraction) -> bool:
-    if method == TRUNCATION_EXACT:
-        return value > 0
-    return value > threshold
-
-
-def _classify_zero(value: Fraction, method: str, threshold: Fraction) -> bool:
-    if method == TRUNCATION_EXACT:
-        return value == 0
-    return abs(value) <= threshold
-
-
 def positivity_report(
     fs,
     backend: str = TRUNCATION_EXACT,
@@ -472,8 +460,11 @@ def positivity_report(
 
 def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> PositivityReport:
     """Positivity report of one pipeline's mixed multiplicities; the reduced
-    instance is the same pipeline restricted to the surviving indices."""
+    instance is the same pipeline restricted to the surviving indices.
+    Exact values are compared with 0; ladder estimates within zero_threshold
+    of a value count as equal to it."""
     backend = growth.backend
+    tol = Fraction(0) if backend == TRUNCATION_EXACT else zero_threshold
     report = growth.mixed()
     d, r = report.d, report.r
     single = []
@@ -481,14 +472,13 @@ def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> Positivity
     for j in range(r):
         t = tuple(d if i == j else 0 for i in range(r))
         est = report.coeffs[t]
-        pos = _classify_positive(est.value, est.method, zero_threshold)
+        pos = est.value > tol
         single.append((j, est.value, pos))
         if pos:
             positives.append(j)
     checks: list[Check] = []
 
-    floor = Fraction(0) if backend == TRUNCATION_EXACT else -zero_threshold
-    bad = [(t, e.value) for t, e in report.coeffs.items() if e.value < floor]
+    bad = [(t, e.value) for t, e in report.coeffs.items() if e.value < -tol]
     checks.append(
         Check(
             "nonnegative",
@@ -503,11 +493,7 @@ def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> Positivity
         for t, e in report.coeffs.items()
         if any(t[j] > 0 for j in zero_set)
     ]
-    failures = [
-        (t, e.value)
-        for t, e in touching
-        if not _classify_zero(e.value, e.method, zero_threshold)
-    ]
+    failures = [(t, e.value) for t, e in touching if abs(e.value) > tol]
     checks.append(
         Check(
             "vanishing-with-zero-weight",
@@ -523,11 +509,7 @@ def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> Positivity
         checks.append(Check("survivors-positive", True, "no surviving indices"))
     elif len(positives) == r:
         survivors = list(report.coeffs.items())
-        neg = [
-            (t, e.value)
-            for t, e in survivors
-            if not _classify_positive(e.value, e.method, zero_threshold)
-        ]
+        neg = [(t, e.value) for t, e in survivors if e.value <= tol]
         checks.append(Check("survivors-match-reduced", True, "all indices survive"))
         checks.append(
             Check(
@@ -547,11 +529,9 @@ def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> Positivity
             for k, j in enumerate(positives):
                 t_full[j] = t_sub[k]
             e_full = report.coeffs[tuple(t_full)]
-            diff = abs(e_full.value - e_sub.value)
-            tol = Fraction(0) if backend == TRUNCATION_EXACT else zero_threshold
-            if diff > tol:
+            if abs(e_full.value - e_sub.value) > tol:
                 mismatches.append((tuple(t_full), e_full.value, e_sub.value))
-            if not _classify_positive(e_full.value, e_full.method, zero_threshold):
+            if e_full.value <= tol:
                 not_positive.append((tuple(t_full), e_full.value))
         checks.append(
             Check(

@@ -16,14 +16,19 @@ The module also computes `orthant_covolume`: the volume of the region of
 the positive orthant lying under the Newton polyhedron spanned by a set of
 integer exponents.  That region is star-shaped with respect to the origin,
 so its volume is the sum of pyramids over the bounded facets (the facets
-whose inner normal is strictly positive).  In dimension 3 and 4 those
+whose inner normal is strictly positive).  It and orthant_extremes first
+drop every exponent lying above another one with the package's one
+antichain kernel (_minimal), which sweeps sorted points in dimensions 1
+to 3 and tests dominance with bitsets from 4 on; monomial imports the
+same kernel to keep minimal generators.  In dimension 3 and 4 the bounded
 facets and the vertices of the polyhedron are read off one facet hull of
-the exponents and far points along each axis (_orthant_facets); dimension
-2 sweeps the staircase instead (see orthant_extremes).
+the kept exponents and far points along each axis (_orthant_facets);
+dimension 2 sweeps the staircase instead (see orthant_extremes).
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,37 +325,30 @@ def contains_body(p: RationalPolytope, q: RationalPolytope) -> bool:
 def orthant_extremes(points: Iterable[Sequence]) -> list[tuple]:
     """Extreme points of conv(points) + positive orthant, sorted.
 
-    Dimension 2 sweeps the staircase with a monotone chain: the points
-    come sorted, so one pass keeps the undominated ones and a second keeps
-    the convex turns.  Every dim-2 Newton polyhedron and exact covolume
-    runs through here, and the facet path below is 15 to 60 times slower
-    per call on 7 to 5000 point staircases even without its dominance
-    filter (6 ms against 0.09 s at 5000 points; the filter, quadratic on a
-    staircase, makes that 11 s), so the sweep stays.  Dimensions 3 and 4
-    drop every point above another one and read the vertices off the
-    facet hull of the rest and their far points (_orthant_facets).
+    Only the points above no other one can be extreme, and they span the
+    same polyhedron, so the antichain kernel (_minimal) runs first; in
+    dimension 1 the one point it keeps is the answer.  Dimension 2 then
+    keeps the convex turns of that staircase with a monotone chain: every
+    dim-2 Newton polyhedron and exact covolume runs through here, and the
+    facet path below is 15 to 60 times slower per call on 7 to 5000 point
+    staircases (6 ms against 0.09 s at 5000 points), so the sweep stays.
+    Dimensions 3 and 4 read the vertices off the facet hull of the kept
+    points and their far points (_orthant_facets).
     """
     pts = sorted({tuple(p) for p in points})
     if not pts:
         return []
     dim = len(pts[0])
+    kept = _minimal(pts, dim)
     if dim == 1:
-        return [min(pts)]
-    # Dominance filter: anything above another point is never extreme.
-    chain: list[tuple] = []
+        return list(kept)
     if dim == 2:
-        best_y = None
-        for p in pts:
-            if best_y is None or p[1] < best_y:
-                chain.append(p)
-                best_y = p[1]
         stack: list[tuple] = []
-        for p in chain:
+        for p in kept:
             while len(stack) >= 2 and _cross(stack[-2], stack[-1], p) <= 0:
                 stack.pop()
             stack.append(p)
         return stack
-    kept = _undominated(pts)
     _, facets = _orthant_facets(kept)
     return sorted(kept[i] for i in _vertex_indices(facets, dim, len(kept)))
 
@@ -359,17 +357,92 @@ def _cross(o: Sequence, a: Sequence, b: Sequence):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _undominated(pts: Iterable[tuple]) -> list[tuple]:
-    """The distinct points with no other point below them: only these can
-    be vertices of conv(pts) + orthant, and they span the same polyhedron."""
-    kept: list[tuple] = []
-    for p in sorted(set(pts), key=lambda p: (sum(p), p)):
-        if not any(all(a <= b for a, b in zip(q, p)) for q in kept):
+def _minimal(pts: list[tuple], dim: int) -> tuple[tuple, ...]:
+    """Antichain kernel: the points of pts that lie above no other one.
+
+    pts are sorted, deduplicated points of length dim with int or Fraction
+    coordinates: monomial exponents, or the points spanning a Newton
+    polyhedron.  Lexicographic order puts every dominator before its
+    victims, which each sweep relies on.  The result keeps that order.
+    """
+    if not pts:
+        return ()
+    if dim == 1:
+        return (pts[0],)
+    if dim == 2:
+        # x ascending, y ascending within equal x: a point survives iff its
+        # y is strictly below every kept y so far.
+        kept2: list[tuple] = []
+        best_y: int | None = None
+        for p in pts:
+            if best_y is None or p[1] < best_y:
+                kept2.append(p)
+                best_y = p[1]
+        return tuple(kept2)
+    if dim == 3:
+        return _minimalize3(pts)
+    return _minimal_bits(pts, dim)
+
+
+def _minimal_bits(pts: list[tuple], dim: int) -> tuple[tuple, ...]:
+    """Dominance by bitsets, for four and more dimensions.
+
+    Bit i stands for pts[i].  For each axis and each value v on it, the
+    prefix mask holds the points whose coordinate there is <= v; the AND
+    of a point's d masks is the set of points below it, so the point is
+    minimal iff that AND is its own bit.  The masks take
+    sum(distinct values per axis) * n bits.
+    """
+    masks = []
+    for k in range(dim):
+        at: dict[int, int] = {}
+        for i, p in enumerate(pts):
+            at[p[k]] = at.get(p[k], 0) | (1 << i)
+        acc = 0
+        for v in sorted(at):
+            acc |= at[v]
+            at[v] = acc
+        masks.append(at)
+    kept = []
+    for i, p in enumerate(pts):
+        below = -1
+        for mask, c in zip(masks, p):
+            below &= mask[c]
+        if below == 1 << i:
             kept.append(p)
-    return kept
+    return tuple(kept)
 
 
-def _orthant_facets(pts: list[tuple]) -> tuple[int, list[tuple]]:
+def _minimalize3(pts: list[tuple]) -> tuple[tuple, ...]:
+    """Linear-logarithmic antichain filter for three dimensions.
+
+    Points arrive lexicographically sorted, so a dominator always precedes
+    its victim.  The survivors' (y, z) profile is kept as a front with y
+    ascending and z strictly decreasing; the rightmost entry with y' <= y
+    then carries the least z among all candidates, so one lookup decides
+    dominance.
+    """
+    kept: list[tuple] = []
+    fy: list[int] = []
+    fz: list[int] = []
+    for p in pts:
+        y, z = p[1], p[2]
+        i = bisect.bisect_right(fy, y) - 1
+        if i >= 0 and fz[i] <= z:
+            continue
+        kept.append(p)
+        j = bisect.bisect_left(fy, y)
+        k = j
+        while k < len(fy) and fz[k] >= z:
+            k += 1
+        fy[j:k] = [y]
+        fz[j:k] = [z]
+    return tuple(kept)
+
+
+
+
+def _orthant_facets(pts: Sequence[tuple]) -> tuple[int, list[tuple]]:
     """Facet hull of the undominated points pts and their far points.
 
     With P = conv(pts) + orthant, the hull Q of pts and the far points
@@ -399,15 +472,17 @@ def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
     region is bounded.  Exact; integer arithmetic throughout except the
     final division.
     """
-    if dim == 1:
-        return Fraction(min(g[0] for g in gens))
-    if dim == 2:
+    if dim <= 2:
+        # Unsigned cones from the origin over the bounded faces of the
+        # staircase: its one point in dimension 1, its segments in 2.
         ext = orthant_extremes(gens)
+        if dim == 1:
+            return abs(Fraction(ext[0][0]))
         total = Fraction(0)
         for a, b in zip(ext, ext[1:]):
             total += abs(a[0] * b[1] - b[0] * a[1])
         return Fraction(total, 2)
-    den, facets = _orthant_facets(_undominated(tuple(g) for g in gens))
+    den, facets = _orthant_facets(_minimal(sorted({tuple(g) for g in gens}), dim))
     # The cone from the origin over a facet has determinant offset, as in
     # volume; a positive normal makes the offset nonnegative.
     total = sum(offset for normal, offset, _ in facets if all(x > 0 for x in normal))

@@ -351,3 +351,19 @@ def test_11_dim3_body_from_facet_hull():
     # the degree-2 simplex (4/3) less the covolume of NP(I) (2/3)
     assert vol == F(2, 3) == brute_volume(want, 3)
     assert b.body.contains_body(ok.body(ok.value_semigroup([f], (1,), 2, 4)).body)
+
+
+def test_12_large_newton_polyhedra_share_the_antichain_kernel():
+    # The minimal generators of a power are already an antichain, so the
+    # covolume's dominance step must not be quadratic in them: I^24 has
+    # 2582 generators.  NP(I^n) = n*NP(I), so the covolume scales by n^d.
+    I = mo.ideal(3, [(3, 0, 0), (0, 4, 0), (0, 0, 5), (1, 1, 1), (2, 0, 1), (0, 2, 1)])
+    J = mo.ideal(
+        4,
+        [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3), (1, 1, 1, 0), (0, 1, 1, 1)],
+    )
+    with budget(1.5):
+        I24, J10 = I.power(24), J.power(10)
+        print(f"{len(I24.gens)} and {len(J10.gens)} generators")
+        assert I24.covolume() == 24**3 * I.covolume()
+        assert J10.covolume() == 10**4 * J.covolume()

@@ -303,7 +303,7 @@ class TestFacetHullAgainstOracles:
             for x in probes:
                 assert body.contains_point(x) == lp_in_hull(x, verts), (pts, x)
 
-    @pytest.mark.parametrize("dim,count", [(2, 30), (3, 30), (4, 12)])
+    @pytest.mark.parametrize("dim,count", [(1, 10), (2, 30), (3, 30), (4, 12)])
     def test_orthant_extremes_and_covolume(self, dim, count):
         rng = random.Random(3 * dim)
         for _ in range(count):
