@@ -113,7 +113,11 @@ class Filtration:
 
 
 class AdicFiltration(Filtration):
-    """Levels are powers of one fixed m-primary ideal."""
+    """Levels are powers of one fixed m-primary ideal.
+
+    Level n is the memoized level n-1 times the base when there is one, so
+    levels read in order cost one product each; otherwise it is power(n).
+    """
 
     kind = "adic"
 
@@ -124,11 +128,16 @@ class AdicFiltration(Filtration):
         self.base = base
 
     def _level(self, n: int) -> MonomialIdeal:
-        return self.base.power(n)
+        prev = self._cache.get(n - 1)
+        return self.base.power(n) if prev is None else prev * self.base
 
 
 class FixedPlusAdicFiltration(Filtration):
-    """Levels are a fixed proper ideal plus powers of an m-primary one."""
+    """Levels are a fixed proper ideal F plus powers of an m-primary one B.
+
+    Level n is F + level(n-1)*B when level n-1 is memoized, which is
+    F + B^n because F*B lies in F; otherwise it is F + B.power(n).
+    """
 
     kind = "fixed-plus-adic"
 
@@ -144,7 +153,8 @@ class FixedPlusAdicFiltration(Filtration):
         self.bulk = bulk
 
     def _level(self, n: int) -> MonomialIdeal:
-        return self.fixed + self.bulk.power(n)
+        prev = self._cache.get(n - 1)
+        return self.fixed + (self.bulk.power(n) if prev is None else prev * self.bulk)
 
 
 class RoundedValuationFiltration(Filtration):

@@ -6,13 +6,17 @@ semigroup membership reduces to monomial-ideal membership; no irrational
 arithmetic ever happens.  Each level is kept as its product ideal, in
 every dimension, and a body is the exact hull of the generators under
 the degree cap and their ray points (see ValueSemigroup.quotient_points).
+Those quotient points a/i are kept as the integer points a*(L/i) over
+L = lcm(1..cutoff), and the hull runs on them as they are.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import monomial, polytope
 from .filtration import Filtration
@@ -38,9 +42,10 @@ def degree_bound(fs, sigma) -> int:
         return 1
     d = prod.dim
     mx = monomial.maximal_ideal(d)
-    c = 1
-    while not prod.contains_ideal(mx.power(c)):
+    c, power = 1, mx
+    while not prod.contains_ideal(power):
         c += 1
+        power = power * mx
     return c
 
 
@@ -85,8 +90,8 @@ class ValueSemigroup:
         cap = self.bound * i
         return [g for g in self._levels[i].gens if sum(g) <= cap]
 
-    def quotient_points(self):
-        """The points a/i whose closure the body is, one list for all levels.
+    def quotient_points(self) -> list[tuple[Fraction, ...]]:
+        """The distinct points a/i whose closure the body is, sorted.
 
         Per level i with cap = bound*i, only the feet g (minimal generators
         with |g| <= cap) and their ray points g + (cap - |g|)*e_k are
@@ -98,19 +103,29 @@ class ValueSemigroup:
         combination of the foot and its ray points (a = g when s = 0), and
         those are themselves points of the level: above g, of degree at
         most cap.  Dividing by i is linear, so the same holds after scaling.
+
+        This is the Fraction view of the integer points the body's hull
+        runs on: a*(L/i) over L = lcm(1..cutoff) (see _integer_points).
         """
-        pts: list[tuple[Fraction, ...]] = []
+        den, pts = self._integer_points()
+        return [tuple(Fraction(c, den) for c in p) for p in sorted(pts)]
+
+    def _integer_points(self) -> tuple[int, set[tuple[int, ...]]]:
+        """(L, points): the quotient points times L = lcm(1..cutoff), as
+        a set of int tuples; level i is scaled by L // i."""
+        den = lcm(*range(1, self.cutoff + 1))
+        pts: set[tuple[int, ...]] = set()
         for i in range(1, self.cutoff + 1):
+            scale = den // i
             cap = self.bound * i
             for g in self._feet(i):
-                pts.append(tuple(Fraction(c, i) for c in g))
-                slack = cap - sum(g)
+                foot = tuple([c * scale for c in g])
+                pts.add(foot)
+                slack = (cap - sum(g)) * scale
                 if slack:
                     for k in range(self.dim):
-                        ray = list(g)
-                        ray[k] += slack
-                        pts.append(tuple(Fraction(c, i) for c in ray))
-        return pts
+                        pts.add(foot[:k] + (foot[k] + slack,) + foot[k + 1 :])
+        return den, pts
 
 
 def value_semigroup(fs, sigma, bound: int, cutoff: int) -> ValueSemigroup:
@@ -149,11 +164,10 @@ class OkounkovBody:
 
 
 def body(sem: ValueSemigroup) -> OkounkovBody:
-    pts = sem.quotient_points()
-    if not pts:
-        empty = polytope.RationalPolytope(sem.dim, ())
-        return OkounkovBody(empty, sem.sigma, sem.bound, sem.cutoff)
-    hull = polytope.hull(sem.dim, pts)
+    """The exact hull of the semigroup's quotient points; empty when no
+    level has a foot."""
+    den, pts = sem._integer_points()
+    hull = polytope._hull_ints(sem.dim, den, pts)
     return OkounkovBody(hull, sem.sigma, sem.bound, sem.cutoff)
 
 
@@ -250,9 +264,8 @@ def _origin_collapse(
         )
     hat = full_simplex_body(f.dim, bound)
     half_cut = max(1, cutoff // 2)
-    gap_half = polytope.volume(hat) - body(
-        value_semigroup([f], (1,), bound, half_cut)
-    ).volume()
+    # The half-cutoff semigroup is a prefix of sem's levels.
+    gap_half = polytope.volume(hat) - body(replace(sem, cutoff=half_cut)).volume()
     gap_full = polytope.volume(hat) - body(sem).volume()
     return OriginCollapseReport(
         cutoff=cutoff,
@@ -296,10 +309,11 @@ def containment_bound_search(
     """
     bound = degree_bound([f], (1,))
     mx = monomial.maximal_ideal(f.dim)
+    powers = list(itertools.accumulate(itertools.repeat(mx, i_bound), mul))  # m^1..m^i_bound
     for b in range(1, b_cap + 1):
         if all(
-            mx.power(i).contains_ideal(f.ideal_at(i * b * bound))
-            for i in range(1, i_bound + 1)
+            m_i.contains_ideal(f.ideal_at(i * b * bound))
+            for i, m_i in enumerate(powers, 1)
         ):
             return ContainmentBound(True, b, bound, i_bound)
     return ContainmentBound(False, None, bound, i_bound)

@@ -12,6 +12,12 @@ coordinates that are injective on its affine hull and handled one
 dimension down.  A polytope builds the facet hull of its vertices once,
 on first use, for all its volume and containment queries.
 
+Every hull enters through one integer entry (_hull_ints): distinct
+integer points over one common denominator.  `hull` scales its rational
+input to it; `minkowski_sum` adds the two vertex sets as integers over
+one denominator; okounkov hands it a body's quotient points as integers
+over lcm(1..cutoff), so no point of a large input is ever a Fraction.
+
 The module also computes `orthant_covolume`: the volume of the region of
 the positive orthant lying under the Newton polyhedron spanned by a set of
 integer exponents.  That region is star-shaped with respect to the origin,
@@ -102,6 +108,15 @@ def hull(dim: int, points: Iterable[Sequence]) -> RationalPolytope:
     # Straight to distinct integer points: no Fraction copy of a large input.
     den = lcm(*(Fraction(c).denominator for p in pts for c in p))
     ints = {tuple(q.numerator * (den // q.denominator) for q in map(Fraction, p)) for p in pts}
+    return _hull_ints(dim, den, ints)
+
+
+def _hull_ints(dim: int, den: int, ints: Iterable[tuple[int, ...]]) -> RationalPolytope:
+    """Convex hull of the points ints / den, for distinct integer points ints.
+
+    Scaling by 1/den keeps the lexicographic order, so the vertices come
+    out sorted, as reduced Fractions, whatever common denominator is used.
+    """
     ints = sorted(ints)
     ext = _extreme(ints) if len(ints) > 1 else range(len(ints))
     verts = (tuple(Fraction(c, den) for c in ints[i]) for i in sorted(ext))
@@ -267,8 +282,12 @@ def minkowski_sum(p: RationalPolytope, q: RationalPolytope) -> RationalPolytope:
         raise ValueError("dimension mismatch")
     if p.is_empty() or q.is_empty():
         return RationalPolytope(p.dim, ())
-    sums = {tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices}
-    return hull(p.dim, sums)
+    p_den, us = _scaled(p.vertices)
+    q_den, vs = _scaled(q.vertices)
+    den = lcm(p_den, q_den)
+    su, sv = den // p_den, den // q_den
+    sums = {tuple(a * su + b * sv for a, b in zip(u, v)) for u in us for v in vs}
+    return _hull_ints(p.dim, den, sums)
 
 
 def clip(p: RationalPolytope, h: Halfspace) -> RationalPolytope:

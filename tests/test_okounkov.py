@@ -51,7 +51,33 @@ class TestDegreeBound:
         assert got == 2 * ok.degree_bound([maximal_adic()], (3,)) == 6
 
 
+def count_powers(monkeypatch):
+    """Record (ideal, exponent) for every MonomialIdeal.power call."""
+    calls = []
+    power = mo.MonomialIdeal.power
+
+    def counted(self, k):
+        calls.append((self, k))
+        return power(self, k)
+
+    monkeypatch.setattr(mo.MonomialIdeal, "power", counted)
+    return calls
+
+
 class TestValueSemigroup:
+    def test_adic_levels_take_one_product_each(self, monkeypatch):
+        # Levels 1..cutoff are read in order, so past level 1 each is built
+        # from the level below with one product, never a fresh power.
+        J = mo.ideal(2, [(3, 0), (1, 1), (0, 2)])
+        for f in (ft.adic(J), ft.fixed_plus_adic(mo.ideal(2, [(2, 1)]), J)):
+            calls = count_powers(monkeypatch)
+            sem = ok.value_semigroup([f], (1,), 3, 12)
+            assert calls and max(k for _, k in calls) == 1
+            monkeypatch.undo()
+            for i in range(1, 13):
+                want = J.power(i) if f.kind == "adic" else f.fixed + J.power(i)
+                assert sem._levels[i] == want
+
     def test_maximal_adic_levels(self):
         sem = ok.value_semigroup([maximal_adic()], (1,), 1, 4)
         assert sorted(sem.points_at(2)) == [(0, 2), (1, 1), (2, 0)]
@@ -193,21 +219,52 @@ def brute_body(fs, sigma, bound, cutoff):
     return (pt.hull(dim, pts).vertices if pts else ()), smallest
 
 
+def _oracle_rows():
+    """(kind, dim, sigma, cutoff) rows, with ids kind-dim for one filtration
+    at the default cutoff: 8 up to dim 2, 2 from dim 3, where brute_body
+    walks a 4-dimensional box."""
+    for dim in (1, 2, 3, 4):
+        for kind in KINDS:
+            yield pytest.param(kind, dim, (1,), 8 if dim < 3 else 2, id=f"{kind}-{dim}")
+    for sigma in ((1, 0), (0, 1), (1, 1)):
+        for kind in KINDS:
+            tag = "".join(map(str, sigma))
+            yield pytest.param(kind, 2, sigma, 8, id=f"{kind}-2-sigma{tag}")
+    # lcm(1..48) > 2**64: the body's integer points run past 64 bits
+    for kind in KINDS:
+        yield pytest.param(kind, 2, (1,), 48, id=f"{kind}-2-cutoff48")
+    yield pytest.param("empty", 2, (1,), 8, id="empty-2")
+
+
 class TestBodyOracle:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_body_is_hull_of_every_level_point(self, kind, dim):
-        rng = random.Random(f"{kind}-{dim}")
-        draws, max_exp, cutoff = (4, 3, 8) if dim < 3 else (1, 2, 2)
-        for _ in range(draws):
-            f = random_filtration(rng, kind, dim, max_exp)
-            b = ok.degree_bound([f], (1,))
+    @pytest.mark.parametrize("kind, dim, sigma, cutoff", list(_oracle_rows()))
+    def test_body_is_hull_of_every_level_point(self, request, kind, dim, sigma, cutoff):
+        rng = random.Random(request.node.callspec.id)
+        draws, max_exp = (4, 3) if dim < 3 else (1, 2)
+        if kind == "empty":
+            # no level has a foot at bound 1: every generator of
+            # (x^2, y^2)^i has degree 2i > i
+            families = [[ft.adic(mo.ideal(2, [(2, 0), (0, 2)]))]]
+        else:
+            families = [
+                [random_filtration(rng, kind, dim, max_exp) for _ in sigma]
+                for _ in range(draws)
+            ]
+        for fs in families:
+            b = ok.degree_bound(fs, sigma)
             for bound in sorted({1, b, b + 1}):
-                sem = ok.value_semigroup([f], (1,), bound, cutoff)
-                verts, smallest = brute_body([f], (1,), bound, cutoff)
-                assert ok.body(sem).body.vertices == verts
-                got = [ok._smallest_point(sem, i) for i in range(1, cutoff + 1)]
-                assert got == smallest
+                sem = ok.value_semigroup(fs, sigma, bound, cutoff)
+                got = ok.body(sem).body.vertices
+                if cutoff > 8:
+                    # the walk of every level's box is too slow this deep
+                    assert got == pt.hull(dim, sem.quotient_points()).vertices
+                    continue
+                verts, smallest = brute_body(fs, sigma, bound, cutoff)
+                assert got == verts
+                if kind == "empty" and bound == 1:
+                    assert got == ()
+                least = [ok._smallest_point(sem, i) for i in range(1, cutoff + 1)]
+                assert least == smallest
 
 
 class TestVolumeIdentity:
@@ -241,6 +298,19 @@ class TestOriginCollapse:
         assert rep.gap_at_full == F(1, 16)
         assert rep.gap_decreasing
 
+    def test_half_cutoff_body_reuses_the_semigroup(self, monkeypatch):
+        calls = []
+        build = ok.value_semigroup
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ok, "value_semigroup", counted)
+        rep = ok.origin_collapse_check(line_plus_powers(), 8, F(1, 4))
+        assert rep.triggered
+        assert len(calls) == 1
+
     def test_positive_multiplicity_does_not_trigger(self):
         rep = ok.origin_collapse_check(maximal_adic(), 8, F(1, 4))
         assert not rep.triggered
@@ -267,6 +337,17 @@ class TestContainmentBound:
         got = ok.containment_bound_search(line_plus_powers(), 2, b_cap=3)
         assert not got.found
         assert got.b is None
+
+    def test_maximal_ideal_powers_built_once(self, monkeypatch):
+        # (x) + (x^2, y)^n = (x, y^n) never lands in m^2, so all eight
+        # stretch factors run; the bulk is not the maximal ideal, so every
+        # power of m counted here comes from the bound and the search.
+        f = ft.fixed_plus_adic(mo.ideal(2, [(1, 0)]), mo.ideal(2, [(2, 0), (0, 1)]))
+        calls = count_powers(monkeypatch)
+        got = ok.containment_bound_search(f, 4, b_cap=8)
+        assert not got.found
+        mx = mo.maximal_ideal(2)
+        assert len([k for ideal, k in calls if ideal == mx]) <= 4
 
 
 class TestMinkowski:

@@ -139,6 +139,17 @@ class TestMinkowskiSum:
         mixed = F(2 * 1 + 3 * 5, 2)
         assert s.volume() == a.volume() + b.volume() + 2 * mixed
 
+    def test_unlike_denominators_sum_exactly(self):
+        # The vertex sets share no denominator, so both are scaled to 15
+        # before they are added as integers.
+        a = hull(3, [(0, 0, 0), (F(1, 3), 0, 0), (0, F(2, 3), 0), (0, 0, F(1, 3))])
+        b = hull(3, [(F(1, 5), 0, 0), (0, F(1, 5), F(2, 5)), (F(3, 5), F(1, 5), 0)])
+        sums = [tuple(x + y for x, y in zip(u, v)) for u in a.vertices for v in b.vertices]
+        s = minkowski_sum(a, b)
+        assert s.vertices == hull(3, sums).vertices
+        assert (F(1, 5), F(2, 3), 0) in s.vertices
+        assert minkowski_sum(b, a) == s
+
     def test_empty_absorbs(self):
         empty = RationalPolytope(2, ())
         assert minkowski_sum(empty, box2(1, 1)).is_empty()
