@@ -111,12 +111,40 @@ class Filtration:
     def _level(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
 
+    def _from_levels_up_to(self, a: int, n: int) -> MonomialIdeal:
+        """Level n > a of a filtration that keeps its levels up to a: the
+        sum of the products I_{p_1}...I_{p_m} with all p_i <= a and sum n,
+        which is sum(I_j * I_{n-j} for k-a < j <= k) for any a <= k < n.
+
+        Each I_j * I_{n-j} is a sum of such products.  Conversely the
+        partial sums of p_1, p_2, ... climb from 0 to n by at most a, so one
+        of them, j, lies in (k-a, k]; there the product splits into one
+        inside I_j and one inside I_{n-j} (kept levels hold the products of
+        kept levels below them, so this holds for indices up to a too).
+
+        k is n-1 when levels n-a..n-1 are memoized, so levels read in order
+        cost one step each; otherwise the deepest memoized level k >= n/2
+        with k-a+1..k memoized, else max(n//2, a), so fresh reads recurse
+        only logarithmically deep.
+        """
+        memo = self._cache
+        k = n - 1
+        if not all(map(memo.__contains__, range(n - a, n))):
+            # list() snapshots the keys, since other threads may add levels
+            tops = [t for t in list(memo) if n <= 2 * t < 2 * n]
+            tops = [t for t in tops if all(map(memo.__contains__, range(t - a + 1, t)))]
+            k = max(tops, default=max(n // 2, a))
+        acc = self.ideal_at(k) * self.ideal_at(n - k)
+        for j in range(k - a + 1, k):
+            acc = acc + self.ideal_at(j) * self.ideal_at(n - j)
+        return acc
+
 
 class AdicFiltration(Filtration):
     """Levels are powers of one fixed m-primary ideal.
 
-    Level n is the memoized level n-1 times the base when there is one, so
-    levels read in order cost one product each; otherwise it is power(n).
+    Past level 1 the levels follow the rule of Filtration._from_levels_up_to
+    with a = 1: level n is level(k) * level(n-k).
     """
 
     kind = "adic"
@@ -128,15 +156,15 @@ class AdicFiltration(Filtration):
         self.base = base
 
     def _level(self, n: int) -> MonomialIdeal:
-        prev = self._cache.get(n - 1)
-        return self.base.power(n) if prev is None else prev * self.base
+        return self.base if n == 1 else self._from_levels_up_to(1, n)
 
 
 class FixedPlusAdicFiltration(Filtration):
     """Levels are a fixed proper ideal F plus powers of an m-primary one B.
 
-    Level n is F + level(n-1)*B when level n-1 is memoized, which is
-    F + B^n because F*B lies in F; otherwise it is F + B.power(n).
+    Past level 1, level n is F plus the a = 1 rule of
+    Filtration._from_levels_up_to: for 1 <= k < n the product
+    (F + B^k)(F + B^(n-k)) lies in F + B^n and contains B^n.
     """
 
     kind = "fixed-plus-adic"
@@ -153,8 +181,7 @@ class FixedPlusAdicFiltration(Filtration):
         self.bulk = bulk
 
     def _level(self, n: int) -> MonomialIdeal:
-        prev = self._cache.get(n - 1)
-        return self.fixed + (self.bulk.power(n) if prev is None else prev * self.bulk)
+        return self.fixed + (self.bulk if n == 1 else self._from_levels_up_to(1, n))
 
 
 class RoundedValuationFiltration(Filtration):
@@ -201,10 +228,9 @@ class RoundedValuationFiltration(Filtration):
 
 class TruncatedFiltration(Filtration):
     """Keeps levels up to a, then regenerates: level n > a is the sum of
-    products level(i)*level(n-i) over 1 <= i <= min(a, n-1).
-
-    Lower levels are materialized iteratively before use so deep levels
-    cost no recursion depth.
+    all products of kept levels whose indices sum to n, built by the rule
+    of Filtration._from_levels_up_to.  The rule needs the kept levels to
+    multiply into one another (I_i * I_j inside I_{i+j} for i + j <= a).
     """
 
     kind = "truncated"
@@ -221,16 +247,11 @@ class TruncatedFiltration(Filtration):
         if n <= self.a:
             return self.base.ideal_at(n)
         if self.dim == 1:
+            # Kept beside the shared rule: one generator per level lets the
+            # recurrence run on bare ints, which makes the sqrt(2)
+            # truncation ladder to a = 64 about twenty times faster.
             return monomial.ideal(1, [(self._exponent_level(n),)])
-        # Every level in a+1..max(cache) is cached: warm up from past there.
-        for k in range(max([self.a, *self._cache]) + 1, n):
-            self.ideal_at(k)
-        acc: MonomialIdeal | None = None
-        for i in range(1, min(self.a, n - 1) + 1):
-            term = self.ideal_at(i) * self.ideal_at(n - i)
-            acc = term if acc is None else acc + term
-        assert acc is not None
-        return acc
+        return self._from_levels_up_to(self.a, n)
 
     def _exponent_level(self, n: int) -> int:
         # One generator per level in dimension one, so the recurrence can

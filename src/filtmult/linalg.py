@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Small dense problems only: determinants for the geometry kernel in
-dimension <= 4, ranks, and exact solves for the polynomial and affine fits,
-which have at most a few dozen unknowns.  Everything is done with
+dimension <= 4 and exact solves for the polynomial and affine fits, which
+have at most a few dozen unknowns.  Everything is done with
 ``fractions.Fraction`` (or plain ints where inputs are integral), so
 results are exact and reproducible.
 """
@@ -38,30 +38,6 @@ def solve_linear(a: Matrix, b: Vector) -> list[Fraction]:
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
-
-
-def matrix_rank(a: Matrix) -> int:
-    """Rank of a rational matrix, by fraction-exact elimination."""
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:

@@ -76,14 +76,6 @@ class ValueSemigroup:
             and self._levels[i].contains(a)
         )
 
-    def points_at(self, i: int):
-        """All exponents of one level in lexicographic order, by a walk of
-        the degree-cap box; intended for small levels."""
-        cap = self.bound * i
-        for a in itertools.product(range(cap + 1), repeat=self.dim):
-            if self.level_contains(a, i):
-                yield a
-
     def _feet(self, i: int) -> list[tuple[int, ...]]:
         """Minimal generators of level i within the degree cap, in
         lexicographic order."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from filtmult import filtration as ft
-from filtmult import linalg, polytope
+from filtmult import polytope
 from filtmult.monomial import ideal
 
 
@@ -51,6 +51,39 @@ def naive_minimalize(pts, dim):
         if not dominated:
             kept.append(p)
     return tuple(sorted(kept))
+
+
+def matrix_rank(a):
+    """Rank of a rational matrix, by fraction-exact elimination."""
+    if not a:
+        return 0
+    m = [[Fraction(x) for x in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def points_at(sem, i):
+    """Every exponent of level i of a value semigroup in lexicographic
+    order, by a walk of the degree-cap box; for small levels."""
+    cap = sem.bound * i
+    for a in itertools.product(range(cap + 1), repeat=sem.dim):
+        if sem.level_contains(a, i):
+            yield a
 
 
 def random_primary_gens(rng: random.Random, dim: int, max_exp: int):
@@ -302,7 +335,7 @@ def _triangulate_facet(face_pts, normal, dim):
 def brute_volume(points, dim):
     """Volume of conv(points) from the brute-force triangulation."""
     verts = list(lp_hull_vertices(points))
-    if len(verts) <= dim or linalg.matrix_rank(
+    if len(verts) <= dim or matrix_rank(
         [[v[i] - verts[0][i] for i in range(dim)] for v in verts[1:]]
     ) < dim:
         return Fraction(0)

@@ -1,11 +1,15 @@
 """Filtration level computation, truncation, periods, submultiplicativity."""
 
+import contextlib
 import itertools
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_filtration, small_primary_ideal
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 
@@ -124,12 +128,19 @@ class TestLevels:
         assert f.ideal_at(5) is f.ideal_at(5)
 
     def test_concurrent_reads_agree(self):
-        f = ft.truncate(sqrt2_filtration(), 4)
-        expected = {n: ft.truncate(sqrt2_filtration(), 4).ideal_at(n) for n in range(1, 25)}
-        levels = list(range(1, 25)) * 8
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(f.ideal_at, levels))
-        assert all(g == expected[n] for g, n in zip(got, levels))
+        plane = ft.rounded_valuation((1, 2), ft.root_scale(2))
+        levels = list(range(24, 0, -1)) * 8
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for base, a in ((sqrt2_filtration(), 4), (plane, 3)):
+                expected = {n: ft.truncate(base, a).ideal_at(n) for n in range(1, 25)}
+                f = ft.truncate(base, a)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(f.ideal_at, levels))
+                assert all(g == expected[n] for g, n in zip(got, levels))
+        finally:
+            sys.setswitchinterval(saved)
 
 
 def whole_box_level(f, n):
@@ -251,9 +262,9 @@ class TestTruncation:
         t = ft.truncate(base, 4)
         assert t.a == 4 and t.base is base
 
-    def test_deep_level_warms_up_in_linear_time(self, monkeypatch):
-        # the warm-up starts past the cached levels, so each level below the
-        # target is built once from a few reads instead of re-walked per miss
+    def test_deep_level_reads_few_levels(self, monkeypatch):
+        # a fresh deep read halves its way down, so it touches a few levels
+        # near n/2, n/4, ... instead of every level below the target
         calls = []
         real = ft.Filtration.ideal_at
 
@@ -264,7 +275,7 @@ class TestTruncation:
         monkeypatch.setattr(ft.Filtration, "ideal_at", counted)
         base = mo.ideal(2, [(2, 0), (1, 1), (0, 3)])
         deep = ft.truncate(ft.adic(base), 2).ideal_at(192)
-        assert len(calls) < 2000
+        assert len(calls) < 200
         assert deep == base.power(192)
 
     def test_dimension_one_matches_generic_recurrence(self):
@@ -275,6 +286,86 @@ class TestTruncation:
         for n in range(4, 20):
             table[n] = min(table[i] + table[n - i] for i in range(1, min(3, n - 1) + 1))
         assert exps == [table[n] for n in range(1, 20)]
+
+
+def truncation_by_recurrence(base, a, top):
+    """Levels 1..top of truncate(base, a), built in order by the sum over
+    1 <= i <= a of level(i) * level(n - i)."""
+    levels = {n: base.ideal_at(n) for n in range(1, a + 1)}
+    for n in range(a + 1, top + 1):
+        terms = [levels[i] * levels[n - i] for i in range(1, a + 1)]
+        levels[n] = sum(terms[1:], terms[0])
+    return levels
+
+
+@contextlib.contextmanager
+def default_recursion_limit():
+    """Run the block under CPython's default recursion limit of 1000."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+class TestLevelRuleOracle:
+    """Adic, fixed-plus-adic and truncated levels share one rule whose
+    split point depends on what is memoized; every read order must give
+    the same levels as an order-free oracle."""
+
+    TOP = {1: 24, 2: 14, 3: 8}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adic_and_fixed_plus_adic_in_any_order(self, dim, seed):
+        rng = random.Random(seed)
+        top = self.TOP[dim]
+        bulk = small_primary_ideal(rng, dim)
+        fixed = mo.ideal(dim, [tuple(rng.randint(0, 1) for _ in range(dim - 1)) + (1,)])
+        order = list(range(1, top + 1))
+        rng.shuffle(order)
+        f, g = ft.adic(bulk), ft.fixed_plus_adic(fixed, bulk)
+        for n in order:
+            assert f.ideal_at(n) == bulk.power(n)
+            assert g.ideal_at(n) == fixed + bulk.power(n)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_truncated_in_any_order(self, dim, a, seed):
+        rng = random.Random(100 * dim + 10 * a + seed)
+        top = self.TOP[dim]
+        base = random_filtration(rng, dim, rng.choice(["rounded-rational", "rounded-root"]))
+        want = truncation_by_recurrence(base, a, top)
+        order = list(range(1, top + 1))
+        rng.shuffle(order)
+        t = ft.truncate(base, a)
+        assert [t.ideal_at(n) for n in order] == [want[n] for n in order]
+
+    def test_deep_fresh_reads_stay_shallow(self, monkeypatch):
+        # a fresh level n nests about log2(n) reads deep, whatever a is
+        depth = {"now": 0, "max": 0}
+        real = ft.Filtration.ideal_at
+
+        def nested(self, n):
+            depth["now"] += 1
+            depth["max"] = max(depth["max"], depth["now"])
+            try:
+                return real(self, n)
+            finally:
+                depth["now"] -= 1
+
+        monkeypatch.setattr(ft.Filtration, "ideal_at", nested)
+        line = mo.ideal(1, [(2,)])
+        base = mo.ideal(2, [(2, 0), (1, 1), (0, 3)])
+        cases = [(ft.adic(line), 3000, line), (ft.truncate(ft.adic(base), 3), 400, base)]
+        for f, n, gen in cases:
+            depth["max"] = 0
+            with default_recursion_limit():
+                got = f.ideal_at(n)
+            assert depth["max"] <= 2 * n.bit_length()
+            assert got == gen.power(n)
 
 
 class TestRescaling:

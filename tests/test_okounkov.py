@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_primary_ideal
+from conftest import points_at, random_primary_ideal
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 from filtmult import okounkov as ok
@@ -64,23 +64,53 @@ def count_powers(monkeypatch):
     return calls
 
 
+def count_products(monkeypatch):
+    """Record every MonomialIdeal product of two non-unit factors."""
+    calls = []
+    mul = mo.MonomialIdeal.__mul__
+
+    def counted(self, other):
+        if not (self.is_unit() or other.is_unit()):
+            calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(mo.MonomialIdeal, "__mul__", counted)
+    return calls
+
+
 class TestValueSemigroup:
     def test_adic_levels_take_one_product_each(self, monkeypatch):
         # Levels 1..cutoff are read in order, so past level 1 each is built
         # from the level below with one product, never a fresh power.
         J = mo.ideal(2, [(3, 0), (1, 1), (0, 2)])
         for f in (ft.adic(J), ft.fixed_plus_adic(mo.ideal(2, [(2, 1)]), J)):
-            calls = count_powers(monkeypatch)
+            calls = count_products(monkeypatch)
             sem = ok.value_semigroup([f], (1,), 3, 12)
-            assert calls and max(k for _, k in calls) == 1
+            assert len(calls) == 11
             monkeypatch.undo()
             for i in range(1, 13):
                 want = J.power(i) if f.kind == "adic" else f.fixed + J.power(i)
                 assert sem._levels[i] == want
 
+    def test_fresh_adic_levels_square_memoized_ones(self, monkeypatch):
+        # Level 8 from nothing squares levels 1, 2 and 4; levels 16 and 32
+        # then square the deepest memoized level, never running power(n).
+        J = mo.ideal(2, [(3, 0), (1, 1), (0, 2)])
+        f = ft.adic(J)
+        powers = count_powers(monkeypatch)
+        products = count_products(monkeypatch)
+        counts = []
+        for n in (8, 16, 32):
+            before = len(products)
+            f.ideal_at(n)
+            counts.append(len(products) - before)
+        assert counts == [3, 1, 1] and powers == []
+        monkeypatch.undo()
+        assert f.ideal_at(32) == J.power(32)
+
     def test_maximal_adic_levels(self):
         sem = ok.value_semigroup([maximal_adic()], (1,), 1, 4)
-        assert sorted(sem.points_at(2)) == [(0, 2), (1, 1), (2, 0)]
+        assert sorted(points_at(sem, 2)) == [(0, 2), (1, 1), (2, 0)]
         assert sem.level_contains((2, 0), 2)
         assert not sem.level_contains((1, 0), 2)
         # above the degree cap, even though inside the ideal
@@ -105,7 +135,7 @@ class TestValueSemigroup:
         for f in (parabola_adic(), line_plus_powers()):
             bound = ok.degree_bound([f], (1,))
             sem = ok.value_semigroup([f], (1,), bound, cutoff)
-            pools = {i: list(sem.points_at(i)) for i in range(1, cutoff + 1)}
+            pools = {i: list(points_at(sem, i)) for i in range(1, cutoff + 1)}
             for _ in range(100):
                 i = rng.randint(1, cutoff - 1)
                 j = rng.randint(1, cutoff - i)
@@ -117,7 +147,7 @@ class TestValueSemigroup:
 
     def test_three_variables_stored_explicitly(self):
         sem = ok.value_semigroup([ft.adic(mo.maximal_ideal(3))], (1,), 1, 3)
-        assert sorted(sem.points_at(2)) == [
+        assert sorted(points_at(sem, 2)) == [
             (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
         ]
         assert sem.level_contains((1, 1, 0), 2)
