@@ -59,8 +59,6 @@ _EXPECTED_KEYS = {
     "multiplicity": "a filtration index in [0, {r})",
 }
 
-_COMMANDS = ("colength", "multiplicity", "mixed", "okounkov", "verify", "example1")
-
 
 class CliError(Exception):
     """Input problem; rendered to stderr and mapped to exit code 1."""
@@ -489,9 +487,8 @@ def run_verify(model: ComponentModel, params: dict):
     return payload, None
 
 
-def run_example1(params: dict):
-    model = two_branch_model()
-    ladder = tuple(params.get("ladder", DEFAULT_LADDER))
+def run_example1(model: ComponentModel, params: dict):
+    ladder = _backend_args(params)["ladder"]
     rep = component_mixed(model, ladder=ladder)
     coeffs = {
         ",".join(map(str, t)): serialize.frac_str(est.value)
@@ -539,46 +536,34 @@ def _emit(payload, csv_text, ns, command):
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    runners = {
+        "colength": run_colength,
+        "multiplicity": run_multiplicity,
+        "mixed": run_mixed,
+        "okounkov": run_okounkov,
+        "verify": run_verify,
+        "example1": run_example1,
+    }
     try:
-        if ns.command == "example1":
-            params = {}
-            if ns.config:
-                params = load_config(ns.config).get("params", {})
-            payload, csv_text = run_example1(params)
-            _emit(payload, csv_text, ns, ns.command)
-            return 0
-        if not ns.config:
+        if not ns.config and ns.command != "example1":
             raise CliError(f"{ns.command} requires --config")
-        config = load_config(ns.config)
+        config = load_config(ns.config) if ns.config else {}
+        if ns.command == "example1":
+            # the built-in model replaces any given one; params are checked against it
+            config["model"] = serialize.model_to_json(two_branch_model())
         problems = validate(config)
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 1
         model = serialize.model_from_json(config["model"])
-        params = config.get("params", {})
-        if ns.command == "colength":
-            payload, csv_text = run_colength(model, params)
-        elif ns.command == "multiplicity":
-            payload, csv_text = run_multiplicity(model, params)
-        elif ns.command == "mixed":
-            payload, csv_text = run_mixed(model, params)
-        elif ns.command == "okounkov":
-            payload, csv_text = run_okounkov(model, params)
-        else:
-            payload, csv_text = run_verify(model, params)
-            _emit(payload, csv_text, ns, ns.command)
-            if payload["failed"]:
-                for name in payload["failed"]:
-                    print(f"verify failed: {name}", file=sys.stderr)
-                return 2
-            return 0
+        payload, csv_text = runners[ns.command](model, config.get("params", {}))
         _emit(payload, csv_text, ns, ns.command)
-        return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        failed = payload.get("failed", [])
+        for name in failed:
+            print(f"verify failed: {name}", file=sys.stderr)
+        return 2 if failed else 0
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

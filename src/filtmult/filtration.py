@@ -44,25 +44,25 @@ class SurdScalar:
         f = Fraction(self.p, self.q)
         return math.sqrt(f) if self.is_root else float(f)
 
-    def scaled_ceiling(self, n: int, unit: Fraction = Fraction(1)) -> int:
-        """Smallest integer k with k*unit >= n*(this scalar)."""
+    def scaled_ceiling(
+        self, n: int, unit: Fraction = Fraction(1), offset: Fraction = Fraction(0)
+    ) -> int:
+        """Smallest integer k >= 0 with offset + k*unit >= n*(this scalar)."""
         if n < 0:
             raise ValueError("level must be nonnegative")
         if unit <= 0:
             raise ValueError("unit must be positive")
-        if n == 0:
-            return 0
-        if not self.is_root:
-            target = Fraction(n * self.p, self.q) / unit
-            return -((-target.numerator) // target.denominator)
-        # k*unit >= n*sqrt(p/q)  iff  k^2 * unit^2 * q >= n^2 * p; the
-        # left side is rational and the right is not a perfect square
-        # times q, so equality never decides membership.
-        target = Fraction(n * n * self.p, self.q) / (unit * unit)
-        k = math.isqrt(target.numerator // target.denominator)
-        while k * k < target:
-            k += 1
-        return k
+        offset, unit = Fraction(offset), Fraction(unit)
+        if not self.is_root or n == 0:
+            k = (Fraction(n * self.p, self.q) - offset) / unit
+        else:
+            # With m clearing both denominators, m*(offset + k*unit) is an
+            # integer and m*n*sqrt(p/q) is irrational with floor f, so the
+            # former reaches the latter exactly when it reaches f + 1.
+            m = math.lcm(offset.denominator, unit.denominator)
+            f = math.isqrt(m * m * n * n * self.p // self.q)
+            k = (f + 1 - m * offset) / (m * unit)
+        return max(0, math.ceil(k))
 
     def reaches(self, total: Fraction, n: int) -> bool:
         """Exact test of total >= n*(this scalar) for total >= 0."""
@@ -192,10 +192,10 @@ class RoundedValuationFiltration(Filtration):
     min{k : k*w_i >= n*scale}, because lowering any larger coordinate to
     that bound still qualifies.  Only the box over the first d-1 axes is
     walked: each column gets one candidate, its least qualifying last
-    coordinate, found by bisection with the exact test ``scale.reaches``
-    (the column's top always qualifies).  Every other qualifying point
-    lies above its column's candidate, so the candidates generate the
-    level.
+    coordinate, the one exact threshold ``scale.scaled_ceiling`` gives
+    with the column's weighted sum as offset.  Every other qualifying
+    point lies above its column's candidate, so the candidates generate
+    the level.
     """
 
     kind = "rounded-valuation"
@@ -211,18 +211,10 @@ class RoundedValuationFiltration(Filtration):
     def _level(self, n: int) -> MonomialIdeal:
         *head, last = self.weights
         bounds = [self.scale.scaled_ceiling(n, w) for w in head]
-        top = self.scale.scaled_ceiling(n, last)
         hits = []
         for a in itertools.product(*(range(b + 1) for b in bounds)):
             base = sum((w * c for w, c in zip(head, a)), Fraction(0))
-            lo, hi = 0, top
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.scale.reaches(base + last * mid, n):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            hits.append(a + (lo,))
+            hits.append(a + (self.scale.scaled_ceiling(n, last, base),))
         return monomial.ideal(self.dim, hits)
 
 
@@ -230,7 +222,8 @@ class TruncatedFiltration(Filtration):
     """Keeps levels up to a, then regenerates: level n > a is the sum of
     all products of kept levels whose indices sum to n, built by the rule
     of Filtration._from_levels_up_to.  The rule needs the kept levels to
-    multiply into one another (I_i * I_j inside I_{i+j} for i + j <= a).
+    multiply into one another (I_i * I_j inside I_{i+j} for i + j <= a),
+    so a base that is not a filtration below a is rejected.
     """
 
     kind = "truncated"
@@ -238,6 +231,12 @@ class TruncatedFiltration(Filtration):
     def __init__(self, base: Filtration, a: int) -> None:
         if a < 1:
             raise ValueError("truncation level must be positive")
+        bad = check_submultiplicative(base, a).first_violation
+        if bad is not None:
+            raise ValueError(
+                f"truncation base is not a filtration below {a}: "
+                f"levels {bad[0]} and {bad[1]} multiply outside level {sum(bad)}"
+            )
         super().__init__(base.dim)
         self.base = base
         self.a = a

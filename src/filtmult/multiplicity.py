@@ -459,105 +459,64 @@ def positivity_report(
 
 
 def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> PositivityReport:
-    """Positivity report of one pipeline's mixed multiplicities; the reduced
-    instance is the same pipeline restricted to the surviving indices.
-    Exact values are compared with 0; ladder estimates within zero_threshold
-    of a value count as equal to it."""
-    backend = growth.backend
-    tol = Fraction(0) if backend == TRUNCATION_EXACT else zero_threshold
+    """Positivity report of one pipeline's mixed multiplicities.
+
+    The survivors are the types t whose every t_j > 0 has a filtration j of
+    positive multiplicity.  On an analytically irreducible ring the
+    coefficient of type t is positive iff t survives, and vanishes
+    otherwise; the surviving coefficients are those of the reduced
+    instance, the same pipeline restricted to the positive indices, which
+    is fitted only when some but not all indices are positive.  Exact
+    values are compared with 0; ladder estimates within zero_threshold of
+    a value count as equal to it."""
+    tol = Fraction(0) if growth.backend == TRUNCATION_EXACT else zero_threshold
     report = growth.mixed()
     d, r = report.d, report.r
-    single = []
-    positives = []
-    for j in range(r):
-        t = tuple(d if i == j else 0 for i in range(r))
-        est = report.coeffs[t]
-        pos = est.value > tol
-        single.append((j, est.value, pos))
-        if pos:
-            positives.append(j)
-    checks: list[Check] = []
-
-    bad = [(t, e.value) for t, e in report.coeffs.items() if e.value < -tol]
-    checks.append(
-        Check(
-            "nonnegative",
-            not bad,
-            "all coefficients >= 0" if not bad else f"negative at {bad[0][0]}: {bad[0][1]}",
-        )
-    )
-
-    zero_set = set(range(r)) - set(positives)
-    touching = [
-        (t, e)
-        for t, e in report.coeffs.items()
-        if any(t[j] > 0 for j in zero_set)
-    ]
-    failures = [(t, e.value) for t, e in touching if abs(e.value) > tol]
-    checks.append(
-        Check(
-            "vanishing-with-zero-weight",
-            not failures,
-            f"{len(touching)} coefficients weight a zero-multiplicity filtration; all vanish"
-            if not failures
-            else f"nonzero at {failures[0][0]}: {failures[0][1]}",
-        )
-    )
-
+    values = {t: e.value for t, e in report.coeffs.items()}
+    units = [values[tuple(d * (i == j) for i in range(r))] for j in range(r)]
+    single = tuple((j, v, v > tol) for j, v in enumerate(units))
+    positives = [j for j, _, pos in single if pos]
+    survivors, touching = [], []
+    for t, v in values.items():
+        survives = all(j in positives for j, k in enumerate(t) if k)
+        (survivors if survives else touching).append((t, v))
+    mismatches = []
     if not positives:
-        checks.append(Check("survivors-match-reduced", True, "no surviving indices"))
-        checks.append(Check("survivors-positive", True, "no surviving indices"))
+        matched = positive = "no surviving indices"
     elif len(positives) == r:
-        survivors = list(report.coeffs.items())
-        neg = [(t, e.value) for t, e in survivors if e.value <= tol]
-        checks.append(Check("survivors-match-reduced", True, "all indices survive"))
-        checks.append(
-            Check(
-                "survivors-positive",
-                not neg,
-                "all coefficients positive"
-                if not neg
-                else f"not positive at {neg[0][0]}: {neg[0][1]}",
-            )
-        )
+        matched, positive = "all indices survive", "all coefficients positive"
     else:
-        sub = growth.restricted(positives).mixed()
-        mismatches = []
-        not_positive = []
-        for t_sub, e_sub in sub.coeffs.items():
-            t_full = [0] * r
-            for k, j in enumerate(positives):
-                t_full[j] = t_sub[k]
-            e_full = report.coeffs[tuple(t_full)]
-            if abs(e_full.value - e_sub.value) > tol:
-                mismatches.append((tuple(t_full), e_full.value, e_sub.value))
-            if e_full.value <= tol:
-                not_positive.append((tuple(t_full), e_full.value))
-        checks.append(
-            Check(
-                "survivors-match-reduced",
-                not mismatches,
-                f"{len(sub.coeffs)} surviving coefficients equal the reduced instance"
-                if not mismatches
-                else f"mismatch at {mismatches[0][0]}: {mismatches[0][1]} vs {mismatches[0][2]}",
-            )
-        )
-        checks.append(
-            Check(
-                "survivors-positive",
-                not not_positive,
-                "surviving coefficients positive"
-                if not not_positive
-                else f"not positive at {not_positive[0][0]}: {not_positive[0][1]}",
-            )
-        )
-
+        # Embedding a sub-type into the full type (zeros at the dropped
+        # indices) keeps the reverse-lex order of type_vectors, so the
+        # reduced coefficients pair with the survivors in order.
+        sub = growth.restricted(positives).mixed().coeffs.values()
+        mismatches = [
+            (t, v, e.value)
+            for (t, v), e in zip(survivors, sub, strict=True)
+            if abs(v - e.value) > tol
+        ]
+        matched = f"{len(sub)} surviving coefficients equal the reduced instance"
+        positive = "surviving coefficients positive"
+    negative = [(t, v) for t, v in values.items() if v < -tol]
+    nonzero = [(t, v) for t, v in touching if abs(v) > tol]
+    weak = [(t, v) for t, v in survivors if v <= tol]
+    vanish = f"{len(touching)} coefficients weight a zero-multiplicity filtration; all vanish"
+    rules = (  # name, offending (type, values...), passing detail, failing template
+        ("nonnegative", negative, "all coefficients >= 0", "negative at {}: {}"),
+        ("vanishing-with-zero-weight", nonzero, vanish, "nonzero at {}: {}"),
+        ("survivors-match-reduced", mismatches, matched, "mismatch at {}: {} vs {}"),
+        ("survivors-positive", weak, positive, "not positive at {}: {}"),
+    )
+    checks = tuple(
+        Check(name, not bad, template.format(*bad[0]) if bad else detail)
+        for name, bad, detail, template in rules
+    )
     return PositivityReport(
-        backend=backend,
+        backend=growth.backend,
         zero_threshold=zero_threshold,
-        single=tuple(single),
+        single=single,
         positive_indices=tuple(positives),
         report=report,
-        checks=tuple(checks),
+        checks=checks,
         ok=all(c.passed for c in checks),
     )

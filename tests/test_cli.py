@@ -349,6 +349,44 @@ class TestCommandsOnShippedConfigs:
         assert obj["diagonal_length_closed_form_holds"] is True
 
 
+class TestExample1Config:
+    """example1 params are validated against the built-in model like any
+    config; a given model is ignored."""
+
+    @pytest.mark.parametrize(
+        "cfg, messages",
+        [
+            (
+                {"params": {"ladder": [True, 2, 3]}},
+                ["ladder must be a strictly increasing list of >= 3 positive integers"],
+            ),
+            (
+                {"params": {"ladder": 7}},
+                ["ladder must be a strictly increasing list of >= 3 positive integers"],
+            ),
+            (
+                {"params": {"ladder": [4, 8, 16], "bogus": 1}, "junk": 2},
+                ["unknown config keys: ['junk']", "unknown params: ['bogus']"],
+            ),
+        ],
+    )
+    def test_bad_params_are_config_errors(self, capsys, tmp_path, cfg, messages):
+        rc, out, err = run(capsys, ["example1", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines() == [f"config error: {m}" for m in messages]
+
+    def test_default_ladder_config_matches_plain_run(self, capsys, tmp_path):
+        cfg = {"params": {"ladder": [8, 16, 32]}}
+        rc, plain, _ = run(capsys, ["example1", "--no-timestamp"])
+        assert rc == 0
+        rc, configured, _ = run(
+            capsys, ["example1", "--no-timestamp", "--config", write_config(tmp_path, cfg)]
+        )
+        assert rc == 0
+        assert configured == plain
+
+
 class TestTruncLevelRule:
     def test_multiplicity_and_mixed_agree_on_pretruncated_input(self, capsys, tmp_path):
         # trunc_level truncates every input, an already truncated one too,

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_filtration, small_primary_ideal
+from conftest import FILTRATION_KINDS, random_filtration, small_primary_ideal
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 
@@ -60,6 +60,28 @@ class TestSurdScalar:
             ft.root_scale(2).scaled_ceiling(-1)
         with pytest.raises(ValueError):
             ft.root_scale(2).scaled_ceiling(1, F(0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_offset_ceiling_matches_bisection(self, seed):
+        # the closed form against the least k with reaches(offset + k*unit, n)
+        rng = random.Random(seed)
+        for _ in range(500):
+            make = rng.choice([ft.rational_scale, ft.root_scale])
+            s = make(rng.randint(1, 40), rng.randint(1, 20))
+            n = rng.randint(0, 30)
+            unit = F(rng.randint(1, 9), rng.randint(1, 7))
+            offset = F(rng.randint(0, 60), rng.randint(1, 7))
+            hi = 1
+            while not s.reaches(offset + hi * unit, n):
+                hi *= 2
+            lo = 0
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if s.reaches(offset + mid * unit, n):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            assert s.scaled_ceiling(n, unit, offset) == lo, (s, n, unit, offset)
 
     def test_approx_and_value_squared(self):
         assert ft.root_scale(2).value_squared == F(2)
@@ -225,6 +247,19 @@ class TwoLevelBase(ft.Filtration):
         return mo.maximal_ideal(2).power(n)
 
 
+class SkippingBase(ft.Filtration):
+    """Levels (x, y), (x^3, y^3), (x^4, y^4), then m^(4n): level one
+    squared is not inside level two, so this is no filtration."""
+
+    kind = "custom"
+
+    def _level(self, n):
+        k = {1: 1, 2: 3, 3: 4}.get(n)
+        if k is None:
+            return mo.maximal_ideal(2).power(4 * n)
+        return mo.ideal(2, [(k, 0), (0, k)])
+
+
 class TestTruncation:
     def test_truncating_adic_changes_nothing(self):
         m = mo.maximal_ideal(2)
@@ -236,6 +271,24 @@ class TestTruncation:
         t = ft.truncate(sqrt2_filtration(), 1)
         first = f.ideal_at(1)
         assert all(t.ideal_at(n) == first.power(n) for n in range(1, 10))
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_rejects_a_base_that_is_no_filtration_below_a(self, a):
+        with pytest.raises(ValueError, match=f"below {a}: levels 1 and 1 multiply outside level 2"):
+            ft.truncate(SkippingBase(2), a)
+
+    def test_level_one_takes_any_base(self):
+        t = ft.truncate(SkippingBase(2), 1)
+        assert t.ideal_at(3) == mo.ideal(2, [(1, 0), (0, 1)]).power(3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", FILTRATION_KINDS)
+    def test_builtin_kinds_pass_the_base_check(self, dim, kind):
+        rng = random.Random(dim)
+        base = random_filtration(rng, dim, kind)
+        for a in range(1, 5):
+            # a truncation is a filtration too, so it truncates again
+            assert ft.truncate(ft.truncate(base, a), a + 1).a == a + 1
 
     def test_regeneration_from_two_levels(self):
         t = ft.truncate(TwoLevelBase(2), 2)

@@ -377,3 +377,176 @@ class TestPositivityReport:
         )
         assert rep.zero_threshold == F(1, 50)
         assert mu.DEFAULT_ZERO_THRESHOLD == F(1, 1000)
+
+
+class StubPipeline:
+    """What the positivity report reads of a growth pipeline: a backend, a
+    mixed() report with crafted coefficients, and restricted(keep), which
+    records each call and hands back the reduced instance."""
+
+    def __init__(self, backend, d, values, reduced=None):
+        self.backend = backend
+        self.d = d
+        self.values = values
+        self.reduced = reduced
+        self.kept = []
+
+    def mixed(self):
+        r = len(next(iter(self.values)))
+        assert list(self.values) == list(mu.type_vectors(self.d, r))
+        coeffs = {
+            t: mu.LimitEstimate(F(v), F(v), self.backend, "crafted")
+            for t, v in self.values.items()
+        }
+        return mu.MixedMultiplicityReport(r=r, d=self.d, coeffs=coeffs, backend=self.backend)
+
+    def restricted(self, keep):
+        self.kept.append(list(keep))
+        return StubPipeline(self.backend, self.d, self.reduced)
+
+
+BOTH_BACKENDS = pytest.mark.parametrize("backend", [mu.TRUNCATION_EXACT, mu.DIRECT])
+
+
+def stub_positivity(pipe, zero_threshold=F(1, 10)):
+    rep = mu._positivity(pipe, zero_threshold)
+    return rep, [(c.name, c.passed, c.detail) for c in rep.checks]
+
+
+class TestPositivityDetails:
+    """Every check's detail string, passing and failing, on crafted reports
+    with no, all and some surviving indices, and the reduced instance is
+    fitted only when some but not all indices survive."""
+
+    @BOTH_BACKENDS
+    def test_no_survivors(self, backend):
+        pipe = StubPipeline(backend, 2, {(2, 0): -1, (1, 1): 3, (0, 2): 0})
+        rep, checks = stub_positivity(pipe)
+        assert checks == [
+            ("nonnegative", False, "negative at (2, 0): -1"),
+            ("vanishing-with-zero-weight", False, "nonzero at (2, 0): -1"),
+            ("survivors-match-reduced", True, "no surviving indices"),
+            ("survivors-positive", True, "no surviving indices"),
+        ]
+        assert rep.single == ((0, F(-1), False), (1, F(0), False))
+        assert rep.positive_indices == ()
+        assert not rep.ok
+        assert pipe.kept == []
+
+    @BOTH_BACKENDS
+    def test_all_survive_passing(self, backend):
+        pipe = StubPipeline(backend, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 2})
+        rep, checks = stub_positivity(pipe)
+        assert checks == [
+            ("nonnegative", True, "all coefficients >= 0"),
+            (
+                "vanishing-with-zero-weight",
+                True,
+                "0 coefficients weight a zero-multiplicity filtration; all vanish",
+            ),
+            ("survivors-match-reduced", True, "all indices survive"),
+            ("survivors-positive", True, "all coefficients positive"),
+        ]
+        assert rep.positive_indices == (0, 1)
+        assert rep.ok
+        assert pipe.kept == []
+
+    @BOTH_BACKENDS
+    def test_all_survive_failing(self, backend):
+        pipe = StubPipeline(backend, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 2})
+        rep, checks = stub_positivity(pipe)
+        assert checks == [
+            ("nonnegative", False, "negative at (1, 1): -2"),
+            (
+                "vanishing-with-zero-weight",
+                True,
+                "0 coefficients weight a zero-multiplicity filtration; all vanish",
+            ),
+            ("survivors-match-reduced", True, "all indices survive"),
+            ("survivors-positive", False, "not positive at (1, 1): -2"),
+        ]
+        assert not rep.ok
+        assert pipe.kept == []
+
+    @BOTH_BACKENDS
+    def test_some_survive_passing(self, backend):
+        full = {(2, 0, 0): 1, (1, 1, 0): 0, (1, 0, 1): 3, (0, 2, 0): 0, (0, 1, 1): 0, (0, 0, 2): 2}
+        pipe = StubPipeline(backend, 2, full, {(2, 0): 1, (1, 1): 3, (0, 2): 2})
+        rep, checks = stub_positivity(pipe)
+        assert checks == [
+            ("nonnegative", True, "all coefficients >= 0"),
+            (
+                "vanishing-with-zero-weight",
+                True,
+                "3 coefficients weight a zero-multiplicity filtration; all vanish",
+            ),
+            (
+                "survivors-match-reduced",
+                True,
+                "3 surviving coefficients equal the reduced instance",
+            ),
+            ("survivors-positive", True, "surviving coefficients positive"),
+        ]
+        assert rep.single == ((0, F(1), True), (1, F(0), False), (2, F(2), True))
+        assert rep.positive_indices == (0, 2)
+        assert rep.ok
+        assert pipe.kept == [[0, 2]]
+
+    @BOTH_BACKENDS
+    def test_some_survive_failing(self, backend):
+        full = {(2, 0, 0): 1, (1, 1, 0): 4, (1, 0, 1): -3, (0, 2, 0): 0, (0, 1, 1): 0, (0, 0, 2): 2}
+        pipe = StubPipeline(backend, 2, full, {(2, 0): 1, (1, 1): 5, (0, 2): 7})
+        rep, checks = stub_positivity(pipe)
+        assert checks == [
+            ("nonnegative", False, "negative at (1, 0, 1): -3"),
+            ("vanishing-with-zero-weight", False, "nonzero at (1, 1, 0): 4"),
+            ("survivors-match-reduced", False, "mismatch at (1, 0, 1): -3 vs 5"),
+            ("survivors-positive", False, "not positive at (1, 0, 1): -3"),
+        ]
+        assert rep.positive_indices == (0, 2)
+        assert not rep.ok
+        assert pipe.kept == [[0, 2]]
+
+    @pytest.mark.parametrize(
+        "backend, checks",
+        [
+            (
+                mu.TRUNCATION_EXACT,
+                [
+                    ("nonnegative", False, "negative at (0, 1, 1): -1/20"),
+                    ("vanishing-with-zero-weight", False, "nonzero at (1, 1, 0): 1/20"),
+                    ("survivors-match-reduced", False, "mismatch at (0, 0, 2): 2 vs 41/20"),
+                    ("survivors-positive", True, "surviving coefficients positive"),
+                ],
+            ),
+            (
+                mu.DIRECT,
+                [
+                    ("nonnegative", True, "all coefficients >= 0"),
+                    (
+                        "vanishing-with-zero-weight",
+                        True,
+                        "3 coefficients weight a zero-multiplicity filtration; all vanish",
+                    ),
+                    (
+                        "survivors-match-reduced",
+                        True,
+                        "3 surviving coefficients equal the reduced instance",
+                    ),
+                    ("survivors-positive", True, "surviving coefficients positive"),
+                ],
+            ),
+        ],
+    )
+    def test_threshold_only_for_direct_estimates(self, backend, checks):
+        # 1/20 is below the 1/10 threshold: zero for a ladder estimate, not
+        # for an exact value
+        full = {
+            (2, 0, 0): 1, (1, 1, 0): F(1, 20), (1, 0, 1): 3,
+            (0, 2, 0): 0, (0, 1, 1): F(-1, 20), (0, 0, 2): 2,
+        }
+        pipe = StubPipeline(backend, 2, full, {(2, 0): 1, (1, 1): 3, (0, 2): F(41, 20)})
+        rep, got = stub_positivity(pipe)
+        assert got == checks
+        assert rep.positive_indices == (0, 2)
+        assert pipe.kept == [[0, 2]]
