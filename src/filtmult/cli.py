@@ -64,30 +64,11 @@ class CliError(Exception):
     """Input problem; rendered to stderr and mapped to exit code 1."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="filtmult",
-        description="Exact multiplicities and convex bodies of monomial ideal filtrations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("colength", "lengths of quotient rings at requested levels"),
-        ("multiplicity", "multiplicity of each filtration in the model"),
-        ("mixed", "mixed multiplicities, optionally along a truncation ladder"),
-        ("okounkov", "semigroup body of the model at a sigma vector"),
-        ("verify", "run the model's verification checks"),
-        ("example1", "built-in two-component worked example"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", help="path to a JSON job description")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit the generation time for byte-stable output",
-        )
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is an input problem: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def load_config(path: str) -> dict:
@@ -348,7 +329,7 @@ def _verify_checks(model: ComponentModel, params: dict):
                     if rep.ok
                     else f"violated at {rep.first_violation}"
                 )
-                return rep.ok, detail, serialize.submultiplicativity_to_json(rep)
+                return rep.ok, detail, serialize.report_to_json(rep)
 
             checks.append((f"submultiplicative[c{ci}.f{j}]", submult))
 
@@ -387,7 +368,7 @@ def _verify_checks(model: ComponentModel, params: dict):
             )
             ok = rep.discrepancy <= tol
             detail = f"discrepancy {serialize.frac_str(rep.discrepancy)} vs tolerance {tol}"
-            return ok, detail, serialize.volume_identity_to_json(rep)
+            return ok, detail, serialize.report_to_json(rep)
 
         checks.append(("volume-identity", identity))
 
@@ -417,7 +398,7 @@ def _verify_checks(model: ComponentModel, params: dict):
                 if ok
                 else "unresolved vertices or volume disagreement"
             )
-            return ok, detail, serialize.minkowski_report_to_json(rep)
+            return ok, detail, serialize.report_to_json(rep)
 
         checks.append(("minkowski", minkowski))
 
@@ -488,15 +469,15 @@ def run_verify(model: ComponentModel, params: dict):
 
 
 def run_example1(model: ComponentModel, params: dict):
-    ladder = _backend_args(params)["ladder"]
-    rep = component_mixed(model, ladder=ladder)
+    args = _backend_args(params)
+    rep = component_mixed(model, **args)
     coeffs = {
         ",".join(map(str, t)): serialize.frac_str(est.value)
         for t, est in rep.coeffs.items()
     }
     growth = {}
     for label, n in (("1,0", (1, 0)), ("0,1", (0, 1)), ("1,1", (1, 1))):
-        est = component_growth(model, n, ladder=ladder)
+        est = component_growth(model, n, **args)
         growth[label] = serialize.frac_str(est.value)
     closed_form_ok = all(
         product_ideal_at(model.components[0].filtrations, (n, n)).colength()
@@ -534,8 +515,6 @@ def _emit(payload, csv_text, ns, command):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     runners = {
         "colength": run_colength,
         "multiplicity": run_multiplicity,
@@ -544,7 +523,31 @@ def main(argv=None) -> int:
         "verify": run_verify,
         "example1": run_example1,
     }
+    parser = _Parser(
+        prog="filtmult",
+        description="Exact multiplicities and convex bodies of monomial ideal filtrations.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="""commands:
+  colength      lengths of quotient rings at requested levels
+  multiplicity  multiplicity of each filtration in the model
+  mixed         mixed multiplicities, optionally along a truncation ladder
+  okounkov      semigroup body of the model at a sigma vector
+  verify        run the model's verification checks
+  example1      built-in two-component worked example""",
+    )
+    parser.add_argument(
+        "command", choices=runners, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", help="path to a JSON job description")
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit the generation time for byte-stable output",
+    )
     try:
+        ns = parser.parse_args(argv)
         if not ns.config and ns.command != "example1":
             raise CliError(f"{ns.command} requires --config")
         config = load_config(ns.config) if ns.config else {}

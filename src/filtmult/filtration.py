@@ -130,8 +130,7 @@ class Filtration:
         memo = self._cache
         k = n - 1
         if not all(map(memo.__contains__, range(n - a, n))):
-            # list() snapshots the keys, since other threads may add levels
-            tops = [t for t in list(memo) if n <= 2 * t < 2 * n]
+            tops = [t for t in memo if n <= 2 * t < 2 * n]
             tops = [t for t in tops if all(map(memo.__contains__, range(t - a + 1, t)))]
             k = max(tops, default=max(n // 2, a))
         acc = self.ideal_at(k) * self.ideal_at(n - k)
@@ -305,7 +304,8 @@ def rescale(f: Filtration, s: int) -> RescaledFiltration:
 
 @dataclass(frozen=True)
 class PeriodCertificate:
-    """Period s with the bound up to which its defining equality was checked."""
+    """Period s whose defining equality holds for i <= checked_bound, and
+    for every i once checked_bound reaches the truncation level."""
 
     period: int
     checked_bound: int
@@ -339,13 +339,24 @@ def _holds_up_to(f: TruncatedFiltration, s: int, bound: int) -> int | None:
 def noetherian_period(
     f: TruncatedFiltration, check_bound: int = 16, candidate_cap: int = 10_000
 ) -> PeriodCertificate:
-    """Smallest verified s with level(s*i) = level(s)^i for i <= check_bound.
+    """Smallest s with level(s*i) = level(s)^i for i <= check_bound, which
+    then holds for every i once check_bound >= a.
+
+    Only i <= min(a, check_bound) is checked: equality for i <= a gives it
+    for all i.  level(s)^n always lies in level(s*n).  Conversely level(s*n)
+    is the sum of the products of kept levels (indices <= a) with index sum
+    s*n.  Any s parts hold a nonempty run summing to 0 mod s (two of their
+    s + 1 prefix sums agree mod s); removing such runs while s parts remain
+    leaves fewer than s parts, whose sum is also a multiple of s.  So the
+    parts fall into groups with index sums s*i', 1 <= i' <= a, each inside
+    level(s*i') = level(s)^i' (by the truncation rule above a, the base
+    check below), and the product lies in level(s)^n.  So the first failure
+    is at some i <= a, as in a search of every i up to check_bound.
 
     Candidates are the divisors of lcm(1..a) in ascending order (every
     level index up to a divides that lcm), walked lazily so huge lcm
-    values cost nothing.  Verification is a semi-decision: the certificate
-    records the bound actually checked.  After candidate_cap divisors the
-    search gives up and reports the deepest-surviving candidate.
+    values cost nothing.  After candidate_cap divisors the search gives
+    up and reports the deepest-surviving candidate.
     """
     if not isinstance(f, TruncatedFiltration):
         raise TypeError("period detection applies to truncated filtrations")
@@ -360,7 +371,7 @@ def noetherian_period(
         if ell % s:
             continue
         examined += 1
-        failed_at = _holds_up_to(f, s, check_bound)
+        failed_at = _holds_up_to(f, s, min(f.a, check_bound))
         if failed_at is None:
             return PeriodCertificate(period=s, checked_bound=check_bound)
         if failed_at > best_depth:

@@ -12,11 +12,9 @@ L = lcm(1..cutoff), and the hull runs on them as they are.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from . import monomial, polytope
 from .filtration import Filtration
@@ -300,12 +298,11 @@ def containment_bound_search(
     search is evidence of nothing and is reported, not raised.
     """
     bound = degree_bound([f], (1,))
-    mx = monomial.maximal_ideal(f.dim)
-    powers = list(itertools.accumulate(itertools.repeat(mx, i_bound), mul))  # m^1..m^i_bound
     for b in range(1, b_cap + 1):
+        # a level lies in m^i iff each of its minimal generators has degree >= i
         if all(
-            m_i.contains_ideal(f.ideal_at(i * b * bound))
-            for i, m_i in enumerate(powers, 1)
+            min(map(sum, f.ideal_at(i * b * bound).gens)) >= i
+            for i in range(1, i_bound + 1)
         ):
             return ContainmentBound(True, b, bound, i_bound)
     return ContainmentBound(False, None, bound, i_bound)

@@ -6,7 +6,7 @@ import pytest
 
 from filtmult import cli, okounkov, serialize
 from filtmult import multiplicity as mu
-from filtmult.components import two_branch_model
+from filtmult.components import component_mixed, two_branch_model
 from filtmult.filtration import PeriodNotCertified
 
 PLANE_PAIR = "configs/plane_pair.json"
@@ -153,10 +153,31 @@ class TestInputProblems:
         assert rc == 1
         assert "verify has no csv form" in err
 
-    def test_unknown_command_exits_two(self, capsys):
+    def test_unknown_command_exits_one(self, capsys):
+        rc, out, err = run(capsys, ["frobnicate"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+
+    def test_unknown_flag_exits_one(self, capsys):
+        rc, out, err = run(capsys, ["mixed", "--config", PLANE_PAIR, "--verbose"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: unrecognized arguments: --verbose\n"
+
+    def test_missing_command_exits_one(self, capsys):
+        rc, out, err = run(capsys, ["--no-timestamp"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: the following arguments are required: command\n"
+
+    def test_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["frobnicate"])
-        assert exc.value.code == 2
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = [line.split()[0] for line in out.split("commands:\n", 1)[1].splitlines()]
+        assert listed == ["colength", "multiplicity", "mixed", "okounkov", "verify", "example1"]
 
     def test_okounkov_needs_single_component(self, capsys, tmp_path):
         cfg = {"model": serialize.model_to_json(two_branch_model())}
@@ -385,6 +406,18 @@ class TestExample1Config:
         )
         assert rc == 0
         assert configured == plain
+
+    def test_backend_params_are_honoured(self, capsys, tmp_path):
+        cfg = {"params": {"backend": "truncation-exact", "trunc_level": 1}}
+        rc, out, _ = run(
+            capsys, ["example1", "--no-timestamp", "--config", write_config(tmp_path, cfg)]
+        )
+        assert rc == 0
+        want = component_mixed(two_branch_model(), backend=mu.TRUNCATION_EXACT, trunc_level=1)
+        assert {t: e.value for t, e in want.coeffs.items()} == {(2, 0): 2, (1, 1): 2, (0, 2): 2}
+        obj = json.loads(out)
+        assert obj["coefficients"] == {"2,0": "2", "1,1": "2", "0,2": "2"}
+        assert obj["mixed"] == serialize.mixed_report_to_json(want)
 
 
 class TestTruncLevelRule:

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -471,6 +472,84 @@ class TestNoetherianPeriod:
         t = ft.truncate(sqrt2_filtration(), 2)
         with pytest.raises(ValueError):
             ft.noetherian_period(t, check_bound=0)
+
+
+def full_bound_period(f, check_bound, candidate_cap=10_000):
+    """noetherian_period with every candidate checked at every i up to
+    check_bound, as it ran before its checks stopped at the truncation level."""
+    ell = math.lcm(*range(1, f.a + 1))
+    best_s, best_depth = 1, 0
+    examined = 0
+    for s in range(1, min(ell, 1_000_000) + 1):
+        if ell % s:
+            continue
+        examined += 1
+        block = f.ideal_at(s)
+        failed_at = next(
+            (i for i in range(1, check_bound + 1) if f.ideal_at(s * i) != block.power(i)),
+            None,
+        )
+        if failed_at is None:
+            return ft.PeriodCertificate(period=s, checked_bound=check_bound)
+        if failed_at > best_depth:
+            best_s, best_depth = s, failed_at
+        if examined >= candidate_cap:
+            break
+    raise ft.PeriodNotCertified(best_s, best_depth)
+
+
+def period_outcome(search, f, check_bound, candidate_cap):
+    try:
+        return search(f, check_bound, candidate_cap)
+    except ft.PeriodNotCertified as exc:
+        return ("not certified", exc.best_candidate, exc.first_failure, str(exc))
+
+
+def seeded_truncations(dim, a_max, count):
+    rng = random.Random(dim)
+    for _ in range(count):
+        a = rng.randint(1, a_max)
+        yield ft.truncate(random_filtration(rng, dim, rng.choice(FILTRATION_KINDS)), a)
+
+
+class TestPeriodFromFirstLevels:
+    """Equality at every i <= a gives it at every i, so the period search
+    checks no deeper than the truncation level."""
+
+    CASES = ((1, 5, 16), (2, 4, 16), (3, 3, 10))
+
+    @pytest.mark.parametrize("dim,a_max,count", CASES)
+    def test_first_failure_is_never_past_a(self, dim, a_max, count):
+        for t in seeded_truncations(dim, a_max, count):
+            ell = math.lcm(*range(1, t.a + 1))
+            for s in (s for s in range(1, ell + 1) if ell % s == 0):
+                failed_at = ft._holds_up_to(t, s, 3 * t.a)
+                assert failed_at is None or failed_at <= t.a, (t.a, s, failed_at)
+
+    @pytest.mark.parametrize("dim,a_max,count", CASES)
+    def test_matches_the_full_bound_search(self, dim, a_max, count):
+        certified = set()
+        for t in seeded_truncations(dim, a_max, count):
+            for bound in sorted({1, 2, t.a, t.a + 1, 16}):
+                for cap in (1, 2, 10_000):
+                    got = period_outcome(ft.noetherian_period, t, bound, cap)
+                    want = period_outcome(full_bound_period, t, bound, cap)
+                    assert got == want, (t.a, bound, cap)
+                    certified.add(isinstance(got, ft.PeriodCertificate))
+        assert certified == {True, False}
+
+    def test_level_one_truncation_multiplies_nothing(self, monkeypatch):
+        t = ft.truncate(ft.adic(mo.ideal(2, [(2, 0), (1, 1), (0, 3)])), 1)
+        calls = []
+        product = mo.MonomialIdeal.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(mo.MonomialIdeal, "__mul__", counted)
+        assert ft.noetherian_period(t, check_bound=16).period == 1
+        assert not calls
 
 
 class NotSubmultiplicative(ft.Filtration):

@@ -11,6 +11,7 @@ from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 from filtmult import okounkov as ok
 from filtmult import serialize as se
+from test_filtration import NotSubmultiplicative
 
 
 def maximal_adic():
@@ -222,7 +223,7 @@ class TestReportSerializers:
 
     def test_identity_collapse_containment_minkowski(self):
         ident = ok.volume_identity_report(sqrt2_filtration(), 8)
-        obj = se.volume_identity_to_json(ident)
+        obj = se.report_to_json(ident)
         json.dumps(obj)
         assert set(obj) >= {"hat_volume", "body_volume", "discrepancy"}
 
@@ -236,21 +237,21 @@ class TestReportSerializers:
         assert se.origin_collapse_to_json(none_col)["witness"] is None
 
         cb = ok.containment_bound_search(maximal_adic(), 8)
-        obj = se.containment_bound_to_json(cb)
+        obj = se.report_to_json(cb)
         json.dumps(obj)
         assert obj["found"] is True and obj["b"] == 1
 
         mk = ok.minkowski_checks(
             [maximal_adic(), ft.adic(mo.ideal(2, [(2, 0), (0, 1)]))], (1, 0), (0, 1), 8
         )
-        obj = se.minkowski_report_to_json(mk)
+        obj = se.report_to_json(mk)
         json.dumps(obj)
         assert obj["containment_pass"] is True
         assert obj["sum_volume"] is None
 
     def test_submultiplicativity_and_period(self):
         rep = ft.check_submultiplicative(maximal_adic(), 6)
-        obj = se.submultiplicativity_to_json(rep)
+        obj = se.report_to_json(rep)
         json.dumps(obj)
         assert obj == {
             "kind": "submultiplicativity",
@@ -260,6 +261,108 @@ class TestReportSerializers:
         }
 
         cert = ft.noetherian_period(ft.truncate(sqrt2_filtration(), 4), check_bound=16)
-        obj = se.period_to_json(cert)
+        obj = se.report_to_json(cert)
         json.dumps(obj)
         assert obj == {"kind": "period-certificate", "period": 2, "checked_bound": 16}
+
+
+class TestFieldReportJson:
+    """The whole JSON of each field-for-field report, recorded before the
+    reports shared one encoder."""
+
+    def test_volume_identity(self):
+        rep = ok.volume_identity_report(maximal_adic(), 8)
+        assert se.report_to_json(rep) == {
+            "kind": "volume-identity",
+            "cutoff": 8,
+            "bound": 1,
+            "limit": {
+                "approx": 0.5,
+                "fit": "1/2",
+                "lower_evidence": "33/64",
+                "method": "direct",
+                "note": "fit c0 + c1/m over m in {8, 16, 32}; no certified rate",
+                "tail": [[8, "9/16"], [16, "17/32"], [32, "33/64"]],
+            },
+            "hat_volume": "1/2",
+            "body_volume": "0",
+            "volume_difference": "1/2",
+            "discrepancy": "0",
+        }
+
+    def test_containment_bound(self):
+        found = ok.containment_bound_search(maximal_adic(), 8)
+        assert se.report_to_json(found) == {
+            "kind": "containment-bound",
+            "found": True,
+            "b": 1,
+            "bound": 1,
+            "verified_through": 8,
+        }
+        missed = ok.containment_bound_search(line_plus_powers(), 4, b_cap=3)
+        assert se.report_to_json(missed) == {
+            "kind": "containment-bound",
+            "found": False,
+            "b": None,
+            "bound": 1,
+            "verified_through": 4,
+        }
+
+    def test_minkowski(self):
+        pair = [maximal_adic(), ft.adic(mo.ideal(2, [(2, 0), (0, 1)]))]
+        plain = {
+            "kind": "minkowski-checks",
+            "bound": 6,
+            "cutoff": 8,
+            "contained_vertices": 5,
+            "unresolved_vertices": [],
+            "containment_pass": True,
+            "collapse_triggered": False,
+            "collapse_proxy": "1",
+            "tolerance": "1/8",
+            "sum_volume": None,
+            "tau_volume": None,
+            "volume_agreement": None,
+        }
+        assert se.report_to_json(ok.minkowski_checks(pair, (1, 0), (0, 1), 8)) == plain
+        triggered = ok.minkowski_checks(pair, (1, 0), (0, 1), 8, F(2))
+        assert se.report_to_json(triggered) == {
+            **plain,
+            "collapse_triggered": True,
+            "tolerance": "2",
+            "sum_volume": "31/2",
+            "tau_volume": "17",
+            "volume_agreement": True,
+        }
+
+    def test_minkowski_unresolved_vertices(self):
+        rep = ok.MinkowskiReport(
+            3, 4, 1, ((F(1, 2), F(3)), (F(0), F(5, 4))),
+            False, False, F(1), F(1, 4), None, None, None,
+        )
+        obj = se.report_to_json(rep)
+        assert obj["unresolved_vertices"] == [["1/2", "3"], ["0", "5/4"]]
+        assert obj["containment_pass"] is False
+
+    def test_submultiplicativity(self):
+        assert se.report_to_json(ft.check_submultiplicative(maximal_adic(), 6)) == {
+            "kind": "submultiplicativity",
+            "bound": 6,
+            "ok": True,
+            "first_violation": None,
+        }
+        bad = ft.check_submultiplicative(NotSubmultiplicative(2), 6)
+        assert se.report_to_json(bad) == {
+            "kind": "submultiplicativity",
+            "bound": 6,
+            "ok": False,
+            "first_violation": [1, 1],
+        }
+
+    def test_period_certificate(self):
+        cert = ft.noetherian_period(ft.truncate(sqrt2_filtration(), 4), check_bound=16)
+        assert se.report_to_json(cert) == {
+            "kind": "period-certificate",
+            "period": 2,
+            "checked_bound": 16,
+        }
