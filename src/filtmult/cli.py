@@ -19,7 +19,6 @@ from . import okounkov, serialize
 from .components import (
     ComponentModel,
     _parts,
-    component_growth,
     component_mixed,
     component_multiplicities,
     two_branch_model,
@@ -235,13 +234,18 @@ def _backend_args(params):
     }
 
 
+def _colengths(model: ComponentModel, levels) -> list[int]:
+    """Each component's weighted colength of its product ideal at levels."""
+    return [
+        comp.weight * product_ideal_at(comp.filtrations, levels).colength()
+        for comp in model.components
+    ]
+
+
 def run_colength(model: ComponentModel, params: dict):
     rows = []
     for levels in params.get("levels", [[1] * model.r]):
-        per = [
-            comp.weight * product_ideal_at(comp.filtrations, levels).colength()
-            for comp in model.components
-        ]
+        per = _colengths(model, levels)
         rows.append(
             {"levels": list(levels), "per_component": per, "colength": sum(per)}
         )
@@ -310,28 +314,44 @@ def run_okounkov(model: ComponentModel, params: dict):
     return payload, serialize.body_to_csv(b)
 
 
-def _verify_checks(model: ComponentModel, params: dict):
-    """Named, independent verification sections; each returns (passed, detail, extra)."""
+def run_verify(model: ComponentModel, params: dict):
+    """Run the model's verification checks in order; each returns (passed,
+    detail, report or None), and a check that raises fails on its own."""
+    entries = []
+    failed = []
+
+    def check(name, fn, *args):
+        try:
+            ok, detail, extra = fn(*args)
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail, extra = False, f"check raised {type(exc).__name__}: {exc}", None
+        entry = {"name": name, "passed": ok, "detail": detail}
+        if extra is not None:
+            entry["report"] = extra
+        entries.append(entry)
+        if not ok:
+            failed.append(name)
+
     args = _backend_args(params)
     fs = _single_component(model)
-    checks = []
     # One growth pipeline for every check that reads it, built on first use;
     # a failed setup is not cached, so each of those checks fails on its own.
     pipeline = functools.cache(lambda: _WeightedGrowth(_parts(model), **args))
+    mixed = functools.cache(lambda: pipeline().mixed())
+    mults = functools.cache(lambda: pipeline().multiplicities())
 
-    sub_bound = params.get("submult_bound", 8)
+    def submult(f):
+        rep = check_submultiplicative(f, params.get("submult_bound", 8))
+        detail = (
+            f"levels multiply into deeper levels through {rep.bound}"
+            if rep.ok
+            else f"violated at {rep.first_violation}"
+        )
+        return rep.ok, detail, serialize.report_to_json(rep)
+
     for ci, comp in enumerate(model.components):
         for j, f in enumerate(comp.filtrations):
-            def submult(f=f):
-                rep = check_submultiplicative(f, sub_bound)
-                detail = (
-                    f"levels multiply into deeper levels through {rep.bound}"
-                    if rep.ok
-                    else f"violated at {rep.first_violation}"
-                )
-                return rep.ok, detail, serialize.report_to_json(rep)
-
-            checks.append((f"submultiplicative[c{ci}.f{j}]", submult))
+            check(f"submultiplicative[c{ci}.f{j}]", submult, f)
 
     def positivity():
         if fs is not None:
@@ -342,7 +362,7 @@ def _verify_checks(model: ComponentModel, params: dict):
             failing = [c.name for c in rep.checks if not c.passed]
             detail = "all sign checks hold" if rep.ok else f"failing: {failing}"
             return rep.ok, detail, serialize.positivity_report_to_json(rep)
-        rep = pipeline().mixed()
+        rep = mixed()
         bad = [t for t, est in rep.coeffs.items() if est.value < 0]
         return (
             not bad,
@@ -350,7 +370,7 @@ def _verify_checks(model: ComponentModel, params: dict):
             serialize.mixed_report_to_json(rep),
         )
 
-    checks.append(("positivity", positivity))
+    check("positivity", positivity)
 
     if fs is not None and model.r == 1:
         cutoff = params.get("cutoff", 16)
@@ -370,7 +390,7 @@ def _verify_checks(model: ComponentModel, params: dict):
             detail = f"discrepancy {serialize.frac_str(rep.discrepancy)} vs tolerance {tol}"
             return ok, detail, serialize.report_to_json(rep)
 
-        checks.append(("volume-identity", identity))
+        check("volume-identity", identity)
 
         def collapse():
             tol = serialize.parse_frac(params.get("tolerance", "1/8"))
@@ -383,7 +403,7 @@ def _verify_checks(model: ComponentModel, params: dict):
             )
             return ok, detail, serialize.origin_collapse_to_json(rep)
 
-        checks.append(("origin-collapse", collapse))
+        check("origin-collapse", collapse)
 
     if fs is not None and model.r >= 2:
         cutoff = params.get("cutoff", 8)
@@ -400,25 +420,30 @@ def _verify_checks(model: ComponentModel, params: dict):
             )
             return ok, detail, serialize.report_to_json(rep)
 
-        checks.append(("minkowski", minkowski))
+        check("minkowski", minkowski)
 
     fit_tol = (
         Fraction(0)
         if args["backend"] == TRUNCATION_EXACT
         else serialize.parse_frac(params.get("tolerance", "1/100"))
     )
-    mixed = functools.cache(lambda: pipeline().mixed())
-    mults = functools.cache(lambda: pipeline().multiplicities())
+
+    def expect(table, lookup, tol, label, noun):
+        for key, want in sorted(table.items()):
+            got = lookup(key)
+            if abs(got - serialize.parse_frac(want)) > tol:
+                return (
+                    False,
+                    f"{label.format(key)}: got {serialize.frac_str(got)}, expected {want}",
+                    None,
+                )
+        return True, f"{len(table)} expected {noun} match", None
 
     def coefficient(key):
         return mixed().coeffs[serialize.parse_type_key(key)].value
 
     def colength(key):
-        levels = serialize.parse_type_key(key)
-        return sum(
-            comp.weight * product_ideal_at(comp.filtrations, levels).colength()
-            for comp in model.components
-        )
+        return sum(_colengths(model, serialize.parse_type_key(key)))
 
     def multiplicity(key):
         return mults()[int(key)].value
@@ -430,55 +455,24 @@ def _verify_checks(model: ComponentModel, params: dict):
     )
     expected = params.get("expected", {})
     for section, lookup, tol, label, noun in rows:
-        if section not in expected:
-            continue
-        table = expected[section]
+        if section in expected:
+            check(f"expected-{section}", expect, expected[section], lookup, tol, label, noun)
 
-        def check(table=table, lookup=lookup, tol=tol, label=label, noun=noun):
-            for key, want in sorted(table.items()):
-                got = lookup(key)
-                if abs(got - serialize.parse_frac(want)) > tol:
-                    return (
-                        False,
-                        f"{label.format(key)}: got {serialize.frac_str(got)}, expected {want}",
-                        None,
-                    )
-            return True, f"{len(table)} expected {noun} match", None
-
-        checks.append((f"expected-{section}", check))
-
-    return checks
-
-
-def run_verify(model: ComponentModel, params: dict):
-    entries = []
-    failed = []
-    for name, fn in _verify_checks(model, params):
-        try:
-            ok, detail, extra = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail, extra = False, f"check raised {type(exc).__name__}: {exc}", None
-        entry = {"name": name, "passed": ok, "detail": detail}
-        if extra is not None:
-            entry["report"] = extra
-        entries.append(entry)
-        if not ok:
-            failed.append(name)
     payload = {"kind": "verify", "checks": entries, "failed": failed, "ok": not failed}
     return payload, None
 
 
 def run_example1(model: ComponentModel, params: dict):
-    args = _backend_args(params)
-    rep = component_mixed(model, **args)
+    pipeline = _WeightedGrowth(_parts(model), **_backend_args(params))
+    rep = pipeline.mixed()
     coeffs = {
         ",".join(map(str, t)): serialize.frac_str(est.value)
         for t, est in rep.coeffs.items()
     }
-    growth = {}
-    for label, n in (("1,0", (1, 0)), ("0,1", (0, 1)), ("1,1", (1, 1))):
-        est = component_growth(model, n, **args)
-        growth[label] = serialize.frac_str(est.value)
+    growth = {
+        label: serialize.frac_str(pipeline.growth(n).value)
+        for label, n in (("1,0", (1, 0)), ("0,1", (0, 1)), ("1,1", (1, 1)))
+    }
     closed_form_ok = all(
         product_ideal_at(model.components[0].filtrations, (n, n)).colength()
         == (n + 1) * (n + 2) // 2 + (n - 1)

@@ -304,8 +304,8 @@ def rescale(f: Filtration, s: int) -> RescaledFiltration:
 
 @dataclass(frozen=True)
 class PeriodCertificate:
-    """Period s whose defining equality holds for i <= checked_bound, and
-    for every i once checked_bound reaches the truncation level."""
+    """Period s with level(s*i) = level(s)^i for every i; checked_bound is
+    max(check_bound, a) for the truncation level a."""
 
     period: int
     checked_bound: int
@@ -317,8 +317,7 @@ class PeriodNotCertified(ValueError):
     def __init__(self, best_candidate: int, first_failure: int) -> None:
         super().__init__(
             f"no candidate period verified; candidate {best_candidate} "
-            f"survived longest, failing first at i={first_failure}; "
-            "retry with a larger check_bound"
+            f"survived longest, failing first at i={first_failure}"
         )
         self.best_candidate = best_candidate
         self.first_failure = first_failure
@@ -339,19 +338,18 @@ def _holds_up_to(f: TruncatedFiltration, s: int, bound: int) -> int | None:
 def noetherian_period(
     f: TruncatedFiltration, check_bound: int = 16, candidate_cap: int = 10_000
 ) -> PeriodCertificate:
-    """Smallest s with level(s*i) = level(s)^i for i <= check_bound, which
-    then holds for every i once check_bound >= a.
+    """Smallest s with level(s*i) = level(s)^i for every i, whatever
+    check_bound is; the certificate reports max(check_bound, a).
 
-    Only i <= min(a, check_bound) is checked: equality for i <= a gives it
-    for all i.  level(s)^n always lies in level(s*n).  Conversely level(s*n)
-    is the sum of the products of kept levels (indices <= a) with index sum
-    s*n.  Any s parts hold a nonempty run summing to 0 mod s (two of their
+    Only i <= a is checked: equality for i <= a gives it for all i.
+    level(s)^n always lies in level(s*n).  Conversely level(s*n) is the sum
+    of the products of kept levels (indices <= a) with index sum s*n.  Any
+    s parts hold a nonempty run summing to 0 mod s (two of their
     s + 1 prefix sums agree mod s); removing such runs while s parts remain
     leaves fewer than s parts, whose sum is also a multiple of s.  So the
     parts fall into groups with index sums s*i', 1 <= i' <= a, each inside
     level(s*i') = level(s)^i' (by the truncation rule above a, the base
-    check below), and the product lies in level(s)^n.  So the first failure
-    is at some i <= a, as in a search of every i up to check_bound.
+    check below), and the product lies in level(s)^n.
 
     Candidates are the divisors of lcm(1..a) in ascending order (every
     level index up to a divides that lcm), walked lazily so huge lcm
@@ -371,9 +369,9 @@ def noetherian_period(
         if ell % s:
             continue
         examined += 1
-        failed_at = _holds_up_to(f, s, min(f.a, check_bound))
+        failed_at = _holds_up_to(f, s, f.a)
         if failed_at is None:
-            return PeriodCertificate(period=s, checked_bound=check_bound)
+            return PeriodCertificate(period=s, checked_bound=max(check_bound, f.a))
         if failed_at > best_depth:
             best_s, best_depth = s, failed_at
         if examined >= candidate_cap:

@@ -9,7 +9,6 @@ results are exact and reproducible.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,21 +64,6 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pkk
     return sign * m[n - 1][n - 1]
-
-
-def frac_det(a: Matrix) -> Fraction:
-    """Determinant of a rational matrix. Clears denominators, then uses int_det."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in a]
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        scale /= den
-        int_rows.append([int(x * den) for x in row])
-    return scale * int_det(int_rows)
 
 
 def fit_affine(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, Fraction]:

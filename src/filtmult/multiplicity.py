@@ -135,17 +135,13 @@ def limit_estimate(seq, order: int = 2) -> LimitEstimate:
 
 
 def verified_common_period(fs, check_bound: int = 16) -> PeriodCertificate:
-    """Least common multiple of per-filtration certified periods.
-
-    Stretching a certificate from its own period s_j to the common s only
-    preserves the checked range up to floor(check_bound * s_j / s), so the
-    returned bound is the weakest of those; it is at least 1 whenever every
-    per-filtration certification succeeds.
-    """
+    """Least common multiple of per-filtration certified periods; every
+    multiple of a period for every i is one too."""
     certs = [noetherian_period(f, check_bound) for f in fs]
-    s = math.lcm(*(c.period for c in certs))
-    bound = min(c.checked_bound * c.period // s for c in certs)
-    return PeriodCertificate(period=s, checked_bound=bound)
+    return PeriodCertificate(
+        period=math.lcm(*(c.period for c in certs)),
+        checked_bound=min(c.checked_bound for c in certs),
+    )
 
 
 def exact_growth(fs, n, s: int) -> Fraction:

@@ -44,7 +44,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import frac_det, int_det
+from .linalg import int_det
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -149,10 +149,11 @@ def volume(p: RationalPolytope) -> Fraction:
 
 
 def _normal_through(points: Sequence[Sequence], dim: int):
-    """Normal of the affine hyperplane through dim points, or None if degenerate.
+    """Normal of the affine hyperplane through dim integer points, or None
+    if degenerate.
 
-    Computed by cofactor expansion of the difference matrix, so integer
-    inputs give an integer normal.
+    Computed by cofactor expansion of the difference matrix, so the normal
+    is an integer vector.
     """
     base = points[0]
     diffs = [[p[i] - base[i] for i in range(dim)] for p in points[1:]]
@@ -160,17 +161,11 @@ def _normal_through(points: Sequence[Sequence], dim: int):
     sign = 1
     for k in range(dim):
         minor = [[row[i] for i in range(dim) if i != k] for row in diffs]
-        normal.append(sign * _det(minor))
+        normal.append(sign * int_det(minor))
         sign = -sign
     if all(x == 0 for x in normal):
         return None
     return normal
-
-
-def _det(rows: list[list]):
-    if all(isinstance(x, int) for row in rows for x in row):
-        return int_det(rows)
-    return frac_det(rows)
 
 
 def _dot(a: Sequence, b: Sequence):

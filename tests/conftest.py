@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from filtmult import filtration as ft
-from filtmult import polytope
 from filtmult.monomial import ideal
 
 
@@ -75,6 +74,24 @@ def matrix_rank(a):
         if rank == rows:
             break
     return rank
+
+
+def det(a):
+    """Determinant of a square rational matrix, by fraction-exact elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    total = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            total = -total
+        total *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return total
 
 
 def points_at(sem, i):
@@ -248,6 +265,17 @@ def _primitive(normal, offset):
     return tuple(x // g for x in ints)
 
 
+def _normal_through(points, dim):
+    """Cofactor normal of the hyperplane through dim rational points, or
+    None if they are affinely dependent."""
+    diffs = [[p[i] - points[0][i] for i in range(dim)] for p in points[1:]]
+    normal = [
+        (-1) ** k * det([[row[i] for i in range(dim) if i != k] for row in diffs])
+        for k in range(dim)
+    ]
+    return None if all(x == 0 for x in normal) else normal
+
+
 def brute_facets(verts, dim):
     """All facets of conv(verts), assumed full-dimensional, by a scan over
     every dim-subset: (inner normal, offset, indices on the facet)."""
@@ -255,7 +283,7 @@ def brute_facets(verts, dim):
     out = []
     n = len(verts)
     for combo in itertools.combinations(range(n), dim):
-        normal = polytope._normal_through([verts[i] for i in combo], dim)
+        normal = _normal_through([verts[i] for i in combo], dim)
         if normal is None:
             continue
         vals = [sum(normal[i] * v[i] for i in range(dim)) for v in verts]
@@ -341,7 +369,7 @@ def brute_volume(points, dim):
         return Fraction(0)
     total = Fraction(0)
     for s in brute_triangulate(verts, dim):
-        total += abs(polytope._det([[s[k][i] - s[0][i] for i in range(dim)] for k in range(1, dim + 1)]))
+        total += abs(det([[s[k][i] - s[0][i] for i in range(dim)] for k in range(1, dim + 1)]))
     return total / math.factorial(dim)
 
 
@@ -361,5 +389,5 @@ def brute_orthant_covolume(gens, dim):
             continue
         seen.add(_primitive(normal, ref))
         for s in _triangulate_facet([ext[i] for i in idxs], normal, dim):
-            total += abs(polytope._det([list(p) for p in s]))
+            total += abs(det([list(p) for p in s]))
     return total / math.factorial(dim)

@@ -1,6 +1,8 @@
 """End-to-end command line behavior, in process through main()."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -439,6 +441,32 @@ class TestTruncLevelRule:
         assert mult == coeff == "3/2"
 
 
+class TestReadme:
+    def test_config_section_names_every_param(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        section = readme.split("### Config format", 1)[1].split("\n## ", 1)[0]
+        missing = [
+            key
+            for key in sorted(cli._PARAM_KEYS)
+            if f"`{key}`" not in section and f'"{key}"' not in section
+        ]
+        assert not missing, f"README config section does not name {missing}"
+
+
+class TestCheckBound:
+    def test_small_check_bound_still_proves_the_period(self, capsys, tmp_path):
+        cfg = json.loads(open(SQRT2, encoding="utf-8").read())
+        cfg["params"] = {"backend": "truncation-exact", "trunc_level": 4, "check_bound": 1}
+        path = write_config(tmp_path, cfg)
+        rc, out, _ = run(capsys, ["multiplicity", "--config", path, "--no-timestamp"])
+        assert rc == 0
+        mult = json.loads(out)["per_filtration"][0]["multiplicity"]
+        assert mult["exact"] == "3/2"
+        assert "certified for i <= 4" in mult["note"]
+
+
 class TestVerifyFailures:
     def test_wrong_expected_coefficient(self, capsys, tmp_path):
         cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
@@ -567,3 +595,91 @@ class TestDeterminism:
         assert rc == 0
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["command"] == "mixed"
+
+
+def two_branch_config():
+    """The built-in two-component model on a short direct ladder, with an
+    expected value in each section; its positivity check takes the
+    multi-component branch."""
+    return {
+        "model": serialize.model_to_json(two_branch_model()),
+        "params": {
+            "ladder": [16, 32, 64],
+            "order": 3,
+            "expected": {
+                "coefficients": {"2,0": "1", "1,1": "0", "0,2": "1"},
+                "colength": {"1,1": "6", "2,2": "14"},
+                "multiplicity": {"0": "1", "1": "1"},
+            },
+        },
+    }
+
+
+def plane_pair_wrong_coefficient():
+    cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+    cfg["params"]["expected"]["coefficients"]["1,1"] = "7"
+    return cfg
+
+
+EXACT_EXAMPLE1 = {"params": {"backend": "truncation-exact", "trunc_level": 1}}
+
+
+class TestPinnedOutputs:
+    """Full stdout bytes of runs that tests/cli_golden.json (shipped configs
+    only) does not cover, as sha256 digests."""
+
+    @pytest.mark.parametrize(
+        "command, config, rc, digest",
+        [
+            (
+                "verify",
+                two_branch_config,
+                0,
+                "8cd5688a0f7d6dc4d3a4b3d1e6cc1adcc03915e72b586ede7d357c0ad7e503aa",
+            ),
+            (
+                "multiplicity",
+                two_branch_config,
+                0,
+                "49060a74f2c470a9699a824f485f45c0038c22cce84cc642d20f8754fe2a3313",
+            ),
+            (
+                "mixed",
+                two_branch_config,
+                0,
+                "d69b2cfb940323c0d4400b4c2dcde3ea4ad77eff5279454a5dc112b4f0d2aafa",
+            ),
+            (
+                "verify",
+                plane_pair_wrong_coefficient,
+                2,
+                "44ac48459211fc6456ca80e43e29633931773e8d2598429141618c7d4666917b",
+            ),
+            (
+                "example1",
+                lambda: EXACT_EXAMPLE1,
+                0,
+                "4db4374a51c8a378656eb4f06baf97d3b15eaaf27382585001812d542a552376",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, tmp_path, command, config, rc, digest):
+        path = write_config(tmp_path, config())
+        got_rc, out, _ = run(capsys, [command, "--config", path, "--no-timestamp"])
+        assert got_rc == rc
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_example1_builds_one_pipeline(self, capsys, tmp_path, monkeypatch):
+        # two components of two filtrations: one certification each
+        calls = []
+        real = mu.noetherian_period
+
+        def counted(f, *args):
+            calls.append(f)
+            return real(f, *args)
+
+        monkeypatch.setattr(mu, "noetherian_period", counted)
+        path = write_config(tmp_path, EXACT_EXAMPLE1)
+        rc, _, _ = run(capsys, ["example1", "--config", path, "--no-timestamp"])
+        assert rc == 0
+        assert len(calls) == 4

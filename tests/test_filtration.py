@@ -514,7 +514,7 @@ def seeded_truncations(dim, a_max, count):
 
 class TestPeriodFromFirstLevels:
     """Equality at every i <= a gives it at every i, so the period search
-    checks no deeper than the truncation level."""
+    checks exactly the first a levels, whatever check_bound is."""
 
     CASES = ((1, 5, 16), (2, 4, 16), (3, 3, 10))
 
@@ -533,7 +533,7 @@ class TestPeriodFromFirstLevels:
             for bound in sorted({1, 2, t.a, t.a + 1, 16}):
                 for cap in (1, 2, 10_000):
                     got = period_outcome(ft.noetherian_period, t, bound, cap)
-                    want = period_outcome(full_bound_period, t, bound, cap)
+                    want = period_outcome(full_bound_period, t, max(bound, t.a), cap)
                     assert got == want, (t.a, bound, cap)
                     certified.add(isinstance(got, ft.PeriodCertificate))
         assert certified == {True, False}

@@ -5,18 +5,19 @@ relation the mixed multiplicities satisfy whatever their values are:
 scaling under powers and rescaling, symmetry under permuting variables or
 filtrations, monotonicity along truncation ladders, the Teissier
 inequalities, and the paper's positivity theorem on one analytically
-irreducible component.
+irreducible component and on a sum of two.
 """
 
 import random
 
 import pytest
 
+from filtmult import components as co
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 
-from conftest import FILTRATION_KINDS, random_filtration, small_primary_ideal
+from conftest import FILTRATION_KINDS, random_filtration, random_primary_ideal, small_primary_ideal
 
 D = 3
 SEEDS = range(5)
@@ -116,3 +117,49 @@ def test_single_component_coefficients_positive(seed):
     assert all(multiplicity(f) > 0 for f in fs)
     assert all(v > 0 for v in coeffs(fs).values())
     assert mu.positivity_report(fs, check_bound=CHECK).ok
+
+
+MODULE_SEEDS = range(12)
+MODULE_LADDER = dict(ladder=(16, 32, 64), order=3)
+
+
+def two_component_model(seed):
+    """Two plane components; each filtration is the adic filtration of a
+    random primary ideal (positive multiplicity) or F + m^n for a random F
+    (multiplicity zero)."""
+    rng = random.Random(seed)
+    m = mo.maximal_ideal(2)
+
+    def draw():
+        if rng.random() < 0.5:
+            return ft.adic(random_primary_ideal(rng, 2, 3))
+        return ft.fixed_plus_adic(random_primary_ideal(rng, 2, 3), m)
+
+    return co.model([(rng.randint(1, 2), [draw(), draw()]) for _ in range(2)])
+
+
+def test_module_positivity_characterization():
+    # On a sum of analytically irreducible components the type-t coefficient
+    # is positive iff some component has positive multiplicity at every j
+    # with t_j > 0, and vanishes otherwise.
+    outcomes = []
+    for seed in MODULE_SEEDS:
+        model = two_component_model(seed)
+        positive = [
+            [
+                2 * est.value > mu.DEFAULT_ZERO_THRESHOLD
+                for est in co.component_limits(model, unit, **MODULE_LADDER)
+            ]
+            for unit in ((1, 0), (0, 1))
+        ]  # positive[j][c]: filtration j has positive multiplicity on component c
+        rep = co.component_mixed(model, **MODULE_LADDER)
+        for t, est in rep.coeffs.items():
+            want = any(
+                all(positive[j][c] for j in range(2) if t[j]) for c in range(2)
+            )
+            if want:
+                assert est.value > mu.DEFAULT_ZERO_THRESHOLD, (seed, t, est.value)
+            else:
+                assert abs(est.value) <= mu.DEFAULT_ZERO_THRESHOLD, (seed, t, est.value)
+            outcomes.append(want)
+    assert set(outcomes) == {True, False}

@@ -55,12 +55,8 @@ class TestRankAndDet:
     def test_int_det_pivot_swap(self):
         assert linalg.int_det([[0, 1], [1, 0]]) == -1
 
-    def test_frac_det_matches_int_after_scaling(self):
-        assert linalg.frac_det([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]) == F(1, 60)
-
     def test_empty_det_is_one(self):
         assert linalg.int_det([]) == 1
-        assert linalg.frac_det([]) == 1
 
 
 class TestFitAffine:

@@ -187,12 +187,12 @@ class TestExactErrorPaths:
 
 class TestCommonPeriod:
     def test_lcm_and_bound(self):
-        # periods 1 and 2; stretched bounds floor(16*1/2)=8 and 16
+        # periods 1 and 2, each proved for every i, so their lcm is too
         a = ft.truncate(ft.adic(mo.ideal(1, [(2,)])), 3)
         b = ft.truncate(sqrt2_filtration(), 2)
         cert = mu.verified_common_period([a, b], check_bound=16)
         assert cert.period == 2
-        assert cert.checked_bound == 8
+        assert cert.checked_bound == 16
 
 
 class TestGrid:
@@ -291,6 +291,19 @@ class TestMultiplicityEstimate:
         )
         assert est.value == F(10, 7)
         assert est.method == mu.TRUNCATION_EXACT
+
+    @pytest.mark.parametrize("check_bound", range(1, 17))
+    def test_check_bound_never_changes_the_value(self, check_bound):
+        # the 4-truncation's period is 2, and period 1 holds at i = 1 only,
+        # so a search that stops at i <= check_bound would take it and give 2
+        est = mu.multiplicity_estimate(
+            sqrt2_filtration(),
+            mu.TRUNCATION_EXACT,
+            trunc_level=4,
+            check_bound=check_bound,
+        )
+        assert est.value == F(3, 2)
+        assert f"certified for i <= {max(check_bound, 4)}" in est.error_note
 
     def test_exact_needs_truncation(self):
         with pytest.raises(ValueError):
