@@ -40,7 +40,6 @@ _PARAM_KEYS = {
     "ladder",
     "trunc_level",
     "truncation_levels",
-    "check_bound",
     "order",
     "sigma",
     "tau",
@@ -175,7 +174,7 @@ def validate(config: dict) -> list[str]:
             problems.append("truncation_levels must be strictly increasing positive integers")
         if len(model.components) > 1:
             problems.append("truncation ladders need a single-component model")
-    for key in ("trunc_level", "check_bound", "cutoff", "submult_bound"):
+    for key in ("trunc_level", "cutoff", "submult_bound"):
         if key in params and (not _is_int(params[key]) or params[key] < 1):
             problems.append(f"{key} must be a positive integer")
     if "order" in params and (not _is_int(params["order"]) or params["order"] < 2):
@@ -229,7 +228,6 @@ def _backend_args(params):
         "backend": params.get("backend", DIRECT),
         "trunc_level": params.get("trunc_level"),
         "ladder": tuple(params["ladder"]) if "ladder" in params else None,
-        "check_bound": params.get("check_bound", 16),
         "order": params.get("order", 2),
     }
 
@@ -281,7 +279,7 @@ def run_mixed(model: ComponentModel, params: dict):
             raise CliError("truncation ladders need a single-component model")
         # The model's own report is the ladder entry at trunc_level, if any.
         known = {args["trunc_level"]: rep} if args["backend"] == TRUNCATION_EXACT else {}
-        tl = _truncation_ladder(fs, params["truncation_levels"], args["check_bound"], known)
+        tl = _truncation_ladder(fs, params["truncation_levels"], known)
         payload["ladder"] = serialize.ladder_to_json(tl)
         csv_text = serialize.ladder_to_csv(tl)
     if csv_text is None:
@@ -337,7 +335,6 @@ def run_verify(model: ComponentModel, params: dict):
     # One growth pipeline for every check that reads it, built on first use;
     # a failed setup is not cached, so each of those checks fails on its own.
     pipeline = functools.cache(lambda: _WeightedGrowth(_parts(model), **args))
-    mixed = functools.cache(lambda: pipeline().mixed())
     mults = functools.cache(lambda: pipeline().multiplicities())
 
     def submult(f):
@@ -362,7 +359,7 @@ def run_verify(model: ComponentModel, params: dict):
             failing = [c.name for c in rep.checks if not c.passed]
             detail = "all sign checks hold" if rep.ok else f"failing: {failing}"
             return rep.ok, detail, serialize.positivity_report_to_json(rep)
-        rep = mixed()
+        rep = pipeline().mixed()
         bad = [t for t, est in rep.coeffs.items() if est.value < 0]
         return (
             not bad,
@@ -440,7 +437,7 @@ def run_verify(model: ComponentModel, params: dict):
         return True, f"{len(table)} expected {noun} match", None
 
     def coefficient(key):
-        return mixed().coeffs[serialize.parse_type_key(key)].value
+        return pipeline().mixed().coeffs[serialize.parse_type_key(key)].value
 
     def colength(key):
         return sum(_colengths(model, serialize.parse_type_key(key)))

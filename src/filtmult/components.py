@@ -82,14 +82,11 @@ def component_limits(
     backend: str = DIRECT,
     trunc_level: int | None = None,
     ladder=None,
-    check_bound: int = 16,
     order: int = 2,
 ) -> tuple[LimitEstimate, ...]:
     """Per-component growth limits at weight one, in model order."""
     return tuple(
-        _WeightedGrowth(
-            [(1, c.filtrations)], backend, trunc_level, ladder, check_bound, order
-        ).growth(n)
+        _WeightedGrowth([(1, c.filtrations)], backend, trunc_level, ladder, order).growth(n)
         for c in model.components
     )
 
@@ -100,13 +97,10 @@ def component_growth(
     backend: str = DIRECT,
     trunc_level: int | None = None,
     ladder=None,
-    check_bound: int = 16,
     order: int = 2,
 ) -> LimitEstimate:
     """Growth limit of the weighted model at multi-level n."""
-    return _WeightedGrowth(
-        _parts(model), backend, trunc_level, ladder, check_bound, order
-    ).growth(n)
+    return _WeightedGrowth(_parts(model), backend, trunc_level, ladder, order).growth(n)
 
 
 def component_mixed(
@@ -114,14 +108,11 @@ def component_mixed(
     backend: str = DIRECT,
     trunc_level: int | None = None,
     ladder=None,
-    check_bound: int = 16,
     order: int = 2,
 ) -> MixedMultiplicityReport:
     """Mixed multiplicities of the weighted model, by exact interpolation
     of the weight-summed growth on the standard sample grid."""
-    return _WeightedGrowth(
-        _parts(model), backend, trunc_level, ladder, check_bound, order
-    ).mixed()
+    return _WeightedGrowth(_parts(model), backend, trunc_level, ladder, order).mixed()
 
 
 def component_multiplicities(
@@ -129,11 +120,8 @@ def component_multiplicities(
     backend: str = DIRECT,
     trunc_level: int | None = None,
     ladder=None,
-    check_bound: int = 16,
     order: int = 2,
 ) -> tuple[LimitEstimate, ...]:
     """Multiplicity of each filtration of the weighted model: dim! times
     the weight-summed growth at its unit vector."""
-    return _WeightedGrowth(
-        _parts(model), backend, trunc_level, ladder, check_bound, order
-    ).multiplicities()
+    return _WeightedGrowth(_parts(model), backend, trunc_level, ladder, order).multiplicities()

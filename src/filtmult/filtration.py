@@ -4,7 +4,8 @@ Five kinds are provided: powers of a fixed ideal, a fixed ideal plus
 powers of another, levels cut out by a weighted valuation with an exactly
 rounded (possibly irrational quadratic) threshold, truncations that
 regenerate high levels from low ones, and index rescalings.  Levels are
-memoized per filtration.
+memoized per filtration.  A truncation's period is one integer s, proved
+from its first a levels to give level(s*i) = level(s)^i for every i.
 """
 
 from __future__ import annotations
@@ -302,15 +303,6 @@ def rescale(f: Filtration, s: int) -> RescaledFiltration:
     return RescaledFiltration(f, s)
 
 
-@dataclass(frozen=True)
-class PeriodCertificate:
-    """Period s with level(s*i) = level(s)^i for every i; checked_bound is
-    max(check_bound, a) for the truncation level a."""
-
-    period: int
-    checked_bound: int
-
-
 class PeriodNotCertified(ValueError):
     """No candidate period verified; carries the deepest-surviving candidate."""
 
@@ -335,11 +327,8 @@ def _holds_up_to(f: TruncatedFiltration, s: int, bound: int) -> int | None:
     return None
 
 
-def noetherian_period(
-    f: TruncatedFiltration, check_bound: int = 16, candidate_cap: int = 10_000
-) -> PeriodCertificate:
-    """Smallest s with level(s*i) = level(s)^i for every i, whatever
-    check_bound is; the certificate reports max(check_bound, a).
+def noetherian_period(f: TruncatedFiltration, *, candidate_cap: int = 10_000) -> int:
+    """Smallest s with level(s*i) = level(s)^i for every i.
 
     Only i <= a is checked: equality for i <= a gives it for all i.
     level(s)^n always lies in level(s*n).  Conversely level(s*n) is the sum
@@ -358,8 +347,6 @@ def noetherian_period(
     """
     if not isinstance(f, TruncatedFiltration):
         raise TypeError("period detection applies to truncated filtrations")
-    if check_bound < 1:
-        raise ValueError("check_bound must be positive")
     ell = math.lcm(*range(1, f.a + 1))
     best_s, best_depth = 1, 0
     examined = 0
@@ -371,7 +358,7 @@ def noetherian_period(
         examined += 1
         failed_at = _holds_up_to(f, s, f.a)
         if failed_at is None:
-            return PeriodCertificate(period=s, checked_bound=max(check_bound, f.a))
+            return s
         if failed_at > best_depth:
             best_s, best_depth = s, failed_at
         if examined >= candidate_cap:

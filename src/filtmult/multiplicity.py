@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, monomial, polytope
-from .filtration import (
-    Filtration,
-    PeriodCertificate,
-    TruncatedFiltration,
-    noetherian_period,
-    truncate,
-)
+from .filtration import Filtration, TruncatedFiltration, noetherian_period, truncate
 from .monomial import MonomialIdeal
 
 DEFAULT_LADDER = (8, 16, 32)
@@ -36,6 +30,11 @@ DEFAULT_ZERO_THRESHOLD = Fraction(1, 1000)
 
 DIRECT = "direct"
 TRUNCATION_EXACT = "truncation-exact"
+
+# The exact note's "certified for i <= N" label.  Every period holds for every
+# i, so any N >= a is true; N = max(16, a) keeps the notes of the shipped
+# outputs until the note is reworded.
+_NOTE_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -134,16 +133,6 @@ def limit_estimate(seq, order: int = 2) -> LimitEstimate:
     )
 
 
-def verified_common_period(fs, check_bound: int = 16) -> PeriodCertificate:
-    """Least common multiple of per-filtration certified periods; every
-    multiple of a period for every i is one too."""
-    certs = [noetherian_period(f, check_bound) for f in fs]
-    return PeriodCertificate(
-        period=math.lcm(*(c.period for c in certs)),
-        checked_bound=min(c.checked_bound for c in certs),
-    )
-
-
 def exact_growth(fs, n, s: int) -> Fraction:
     """Exact limit of ell(product at m*n)/m^d along multiples of s.
 
@@ -226,8 +215,9 @@ class _WeightedGrowth:
     input under one rule (truncated at trunc_level when it is given,
     otherwise required to be truncated already) and certifies each part's
     common period; the direct backend sums the parts' ladders rung by rung
-    and extrapolates the sum.  Growth values are memoized per instance, so
-    mixed() and multiplicities() on one instance share their grid points.
+    and extrapolates the sum.  Growth values and the mixed report are
+    memoized per instance, so mixed() and multiplicities() on one instance
+    share their grid points and the report is fitted once.
     """
 
     def __init__(
@@ -236,7 +226,6 @@ class _WeightedGrowth:
         backend: str,
         trunc_level: int | None = None,
         ladder=None,
-        check_bound: int = 16,
         order: int = 2,
     ) -> None:
         parts = [(w, list(fs)) for w, fs in parts]
@@ -247,6 +236,7 @@ class _WeightedGrowth:
         self.r = counts.pop()
         self.backend = backend
         self._growth: dict[tuple[int, ...], LimitEstimate] = {}
+        self._mixed: MixedMultiplicityReport | None = None
         if backend == TRUNCATION_EXACT:
             self.parts = []
             notes = []
@@ -257,12 +247,11 @@ class _WeightedGrowth:
                     raise ValueError(
                         "truncation-exact backend requires truncated inputs or trunc_level"
                     )
-                cert = verified_common_period(fs, check_bound)
-                self.parts.append((w, fs, cert.period))
-                notes.append(
-                    f"exact along period {cert.period}, "
-                    f"certified for i <= {cert.checked_bound}"
-                )
+                # every multiple of a period is one too
+                s = math.lcm(*(noetherian_period(f) for f in fs))
+                self.parts.append((w, fs, s))
+                bound = max(_NOTE_BOUND, min(f.a for f in fs))
+                notes.append(f"exact along period {s}, certified for i <= {bound}")
             self.note = "; ".join(dict.fromkeys(notes))
         elif backend == DIRECT:
             self.parts = parts
@@ -275,7 +264,7 @@ class _WeightedGrowth:
         """This pipeline over the filtrations at the indices in keep, sharing
         their resolved filtrations and periods (a period of all is one of each)."""
         sub = copy.copy(self)
-        sub.r, sub._growth = len(keep), {}
+        sub.r, sub._growth, sub._mixed = len(keep), {}, None
         sub.parts = [(w, [fs[j] for j in keep], *rest) for w, fs, *rest in self.parts]
         return sub
 
@@ -307,23 +296,28 @@ class _WeightedGrowth:
 
     def mixed(self) -> MixedMultiplicityReport:
         """Fit the growth polynomial on the sample grid, value and lower
-        evidence alike, and scale the coefficient of type t by prod(t_j!)."""
-        d, r = self.d, self.r
-        grid = sample_grid(d, r)
-        ests = [self.growth(n) for n in grid]
-        values = fit_homogeneous(grid, [e.value for e in ests], d, r)
-        lower = fit_homogeneous(grid, [e.lower_evidence for e in ests], d, r)
-        note = "; ".join(dict.fromkeys(e.error_note for e in ests))
-        coeffs = {
-            t: LimitEstimate(
-                value=values[t] * _factorial_product(t),
-                lower_evidence=lower[t] * _factorial_product(t),
-                method=self.backend,
-                error_note=note,
+        evidence alike, and scale the coefficient of type t by prod(t_j!);
+        memoized."""
+        if self._mixed is None:
+            d, r = self.d, self.r
+            grid = sample_grid(d, r)
+            ests = [self.growth(n) for n in grid]
+            values = fit_homogeneous(grid, [e.value for e in ests], d, r)
+            lower = fit_homogeneous(grid, [e.lower_evidence for e in ests], d, r)
+            note = "; ".join(dict.fromkeys(e.error_note for e in ests))
+            coeffs = {
+                t: LimitEstimate(
+                    value=values[t] * _factorial_product(t),
+                    lower_evidence=lower[t] * _factorial_product(t),
+                    method=self.backend,
+                    error_note=note,
+                )
+                for t in values
+            }
+            self._mixed = MixedMultiplicityReport(
+                r=r, d=d, coeffs=coeffs, backend=self.backend
             )
-            for t in values
-        }
-        return MixedMultiplicityReport(r=r, d=d, coeffs=coeffs, backend=self.backend)
+        return self._mixed
 
     def multiplicities(self) -> tuple[LimitEstimate, ...]:
         """Multiplicity of each filtration: d! times the growth at its unit
@@ -349,7 +343,6 @@ def mixed_multiplicities(
     backend: str = TRUNCATION_EXACT,
     trunc_level: int | None = None,
     ladder=None,
-    check_bound: int = 16,
     order: int = 2,
 ) -> MixedMultiplicityReport:
     """Normalized coefficients of the growth polynomial, one per type vector.
@@ -360,9 +353,7 @@ def mixed_multiplicities(
     homogeneous polynomial is recovered by an exact linear solve and the
     coefficient of type t is scaled by prod(t_j!).
     """
-    return _WeightedGrowth(
-        [(1, fs)], backend, trunc_level, ladder, check_bound, order
-    ).mixed()
+    return _WeightedGrowth([(1, fs)], backend, trunc_level, ladder, order).mixed()
 
 
 def multiplicity_estimate(
@@ -370,12 +361,9 @@ def multiplicity_estimate(
     backend: str = DIRECT,
     ladder=None,
     trunc_level: int | None = None,
-    check_bound: int = 16,
 ) -> LimitEstimate:
     """Multiplicity of a single filtration: d! times the growth limit."""
-    return _WeightedGrowth(
-        [(1, [f])], backend, trunc_level, ladder, check_bound
-    ).multiplicities()[0]
+    return _WeightedGrowth([(1, [f])], backend, trunc_level, ladder).multiplicities()[0]
 
 
 @dataclass(frozen=True)
@@ -386,25 +374,23 @@ class TruncationLadder:
     differences: dict[tuple[int, ...], tuple[Fraction, ...]]
 
 
-def truncation_ladder(fs, levels, check_bound: int = 16) -> TruncationLadder:
+def truncation_ladder(fs, levels) -> TruncationLadder:
     """Exact mixed multiplicities of the a-truncations for each a in levels.
 
     Successive differences per type vector are attached as convergence
     evidence; no rate is claimed.
     """
-    return _truncation_ladder(fs, levels, check_bound, {})
+    return _truncation_ladder(fs, levels, {})
 
 
-def _truncation_ladder(fs, levels, check_bound: int, known) -> TruncationLadder:
+def _truncation_ladder(fs, levels, known) -> TruncationLadder:
     """truncation_ladder, taking the report at each level in known as given."""
     steps = list(levels)
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("truncation levels must be strictly increasing")
     entries = []
     for a in steps:
-        rep = known[a] if a in known else mixed_multiplicities(
-            fs, backend=TRUNCATION_EXACT, trunc_level=a, check_bound=check_bound
-        )
+        rep = known[a] if a in known else mixed_multiplicities(fs, TRUNCATION_EXACT, a)
         entries.append((a, rep))
     diffs: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     if entries:
@@ -446,11 +432,10 @@ def positivity_report(
     backend: str = TRUNCATION_EXACT,
     trunc_level: int | None = None,
     ladder=None,
-    check_bound: int = 16,
     zero_threshold: Fraction = DEFAULT_ZERO_THRESHOLD,
     order: int = 2,
 ) -> PositivityReport:
-    growth = _WeightedGrowth([(1, fs)], backend, trunc_level, ladder, check_bound, order)
+    growth = _WeightedGrowth([(1, fs)], backend, trunc_level, ladder, order)
     return _positivity(growth, zero_threshold)
 
 

@@ -19,7 +19,6 @@ from .filtration import (
     AdicFiltration,
     Filtration,
     FixedPlusAdicFiltration,
-    PeriodCertificate,
     RescaledFiltration,
     RoundedValuationFiltration,
     SubmultiplicativityReport,
@@ -69,6 +68,30 @@ def parse_int(value) -> int:
     return value
 
 
+def _check_keys(obj, what: str, keys=(), optional=(), one_of=()) -> None:
+    """Raise ValueError unless obj is an object holding every one of keys,
+    exactly one of one_of (if given) and nothing else but some of optional;
+    missing keys are named."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} spec must be an object: {obj!r}")
+    unknown = sorted(set(obj) - {*keys, *optional, *one_of})
+    if unknown:
+        raise ValueError(f"{what} spec has unknown keys {unknown}")
+    missing = [k for k in keys if k not in obj]
+    if one_of and sum(k in obj for k in one_of) != 1:
+        missing.append("one of " + " or ".join(one_of))
+    if missing:
+        raise ValueError(f"{what} spec needs {', '.join(missing)}: {obj!r}")
+
+
+def _list(value, what: str, length: int | None = None) -> list:
+    """value, which must be a JSON list (of the given length, if any)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} entries"
+        raise ValueError(f"{what} must be {shape}: {value!r}")
+    return value
+
+
 def estimate_to_json(est: LimitEstimate) -> dict:
     if est.method == TRUNCATION_EXACT:
         return {"exact": frac_str(est.value), "method": est.method, "note": est.error_note}
@@ -87,11 +110,10 @@ def ideal_to_json(I: MonomialIdeal) -> dict:
 
 
 def ideal_from_json(obj) -> MonomialIdeal:
-    if not isinstance(obj, dict) or "dim" not in obj or "gens" not in obj:
-        raise ValueError(f"ideal spec needs dim and gens: {obj!r}")
-    return ideal(
-        parse_int(obj["dim"]), [tuple(parse_int(c) for c in g) for g in obj["gens"]]
-    )
+    _check_keys(obj, "ideal", ("dim", "gens"))
+    dim = parse_int(obj["dim"])
+    gens = _list(obj["gens"], "gens")
+    return ideal(dim, [tuple(parse_int(c) for c in _list(g, "generator")) for g in gens])
 
 
 def scale_to_json(s: SurdScalar) -> dict:
@@ -99,13 +121,10 @@ def scale_to_json(s: SurdScalar) -> dict:
 
 
 def scale_from_json(obj) -> SurdScalar:
-    if isinstance(obj, dict) and "sqrt" in obj:
-        p, q = obj["sqrt"]
-        return root_scale(parse_int(p), parse_int(q))
-    if isinstance(obj, dict) and "rat" in obj:
-        p, q = obj["rat"]
-        return rational_scale(parse_int(p), parse_int(q))
-    raise ValueError(f"scale spec needs sqrt or rat: {obj!r}")
+    _check_keys(obj, "scale", one_of=("sqrt", "rat"))
+    kind = "sqrt" if "sqrt" in obj else "rat"
+    p, q = _list(obj[kind], kind, 2)
+    return (root_scale if kind == "sqrt" else rational_scale)(parse_int(p), parse_int(q))
 
 
 def filtration_to_json(f: Filtration) -> dict:
@@ -130,23 +149,35 @@ def filtration_to_json(f: Filtration) -> dict:
     raise ValueError(f"unknown filtration type: {type(f).__name__}")
 
 
+# The keys of each filtration kind's spec, besides its kind.
+_FILTRATION_KEYS = {
+    "adic": ("ideal",),
+    "fixed-plus-adic": ("fixed", "bulk"),
+    "rounded-valuation": ("weights", "scale"),
+    "truncated": ("base", "level"),
+    "rescaled": ("base", "stride"),
+}
+
+
 def filtration_from_json(obj) -> Filtration:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"filtration spec needs a kind: {obj!r}")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _FILTRATION_KEYS:
+        raise ValueError(f"unknown filtration kind: {kind!r}")
+    _check_keys(obj, f"{kind} filtration", ("kind", *_FILTRATION_KEYS[kind]))
     if kind == "adic":
         return adic(ideal_from_json(obj["ideal"]))
     if kind == "fixed-plus-adic":
         return fixed_plus_adic(ideal_from_json(obj["fixed"]), ideal_from_json(obj["bulk"]))
     if kind == "rounded-valuation":
         return rounded_valuation(
-            [parse_frac(w) for w in obj["weights"]], scale_from_json(obj["scale"])
+            [parse_frac(w) for w in _list(obj["weights"], "weights")],
+            scale_from_json(obj["scale"]),
         )
     if kind == "truncated":
         return truncate(filtration_from_json(obj["base"]), parse_int(obj["level"]))
-    if kind == "rescaled":
-        return rescale(filtration_from_json(obj["base"]), parse_int(obj["stride"]))
-    raise ValueError(f"unknown filtration kind: {kind!r}")
+    return rescale(filtration_from_json(obj["base"]), parse_int(obj["stride"]))
 
 
 def model_to_json(model: ComponentModel) -> dict:
@@ -161,19 +192,23 @@ def model_to_json(model: ComponentModel) -> dict:
     }
 
 
+def _filtrations_from_json(value) -> tuple[Filtration, ...]:
+    return tuple(filtration_from_json(f) for f in _list(value, "filtrations"))
+
+
 def model_from_json(obj) -> ComponentModel:
-    if not isinstance(obj, dict):
-        raise ValueError(f"model spec must be an object: {obj!r}")
+    """A model spec holds either filtrations (one component of weight one)
+    or components, each with filtrations and an optional weight."""
+    _check_keys(obj, "model", one_of=("filtrations", "components"))
     if "filtrations" in obj:
-        fs = tuple(filtration_from_json(f) for f in obj["filtrations"])
-        return ComponentModel((Component(1, fs),))
-    if "components" in obj:
-        comps = []
-        for c in obj["components"]:
-            fs = tuple(filtration_from_json(f) for f in c["filtrations"])
-            comps.append(Component(parse_int(c.get("weight", 1)), fs))
-        return ComponentModel(tuple(comps))
-    raise ValueError("model spec needs filtrations or components")
+        return ComponentModel((Component(1, _filtrations_from_json(obj["filtrations"])),))
+    comps = []
+    for c in _list(obj["components"], "components"):
+        _check_keys(c, "component", ("filtrations",), ("weight",))
+        comps.append(
+            Component(parse_int(c.get("weight", 1)), _filtrations_from_json(c["filtrations"]))
+        )
+    return ComponentModel(tuple(comps))
 
 
 def _type_key(t) -> str:
@@ -288,7 +323,6 @@ _REPORT_KINDS = {
     okounkov.ContainmentBound: "containment-bound",
     okounkov.MinkowskiReport: "minkowski-checks",
     SubmultiplicativityReport: "submultiplicativity",
-    PeriodCertificate: "period-certificate",
 }
 
 

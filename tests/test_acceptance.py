@@ -54,9 +54,7 @@ def test_1_sqrt2_direct_and_truncation_ladders():
         assert est.value == F(181, 128)
         assert abs(float(est.value) - 1.41421356) <= 1e-3
 
-        tl = mu.truncation_ladder(
-            [sqrt2_filtration()], [1, 2, 4, 8, 16, 32, 64], check_bound=64
-        )
+        tl = mu.truncation_ladder([sqrt2_filtration()], [1, 2, 4, 8, 16, 32, 64])
         vals = [rep.coeffs[(1,)].value for _, rep in tl.entries]
         print("truncation ladder", [str(v) for v in vals])
         assert vals == [F(2), F(3, 2), F(3, 2), F(10, 7), F(17, 12), F(17, 12), F(58, 41)]
@@ -71,9 +69,7 @@ def test_1_sqrt2_direct_and_truncation_ladders():
     strict=True,
 )
 def test_1_companion_cutoff_slope_alone():
-    tl = mu.truncation_ladder(
-        [sqrt2_filtration()], [1, 2, 4, 8, 16, 32, 64], check_bound=64
-    )
+    tl = mu.truncation_ladder([sqrt2_filtration()], [1, 2, 4, 8, 16, 32, 64])
     s = ft.root_scale(2)
     for a, rep in tl.entries:
         assert rep.coeffs[(1,)].value == F(s.scaled_ceiling(a), a)
@@ -206,15 +202,11 @@ def test_6_random_instances_positivity_and_vanishing():
         worst_touch = F(0)
         worst_survivor = F(0)
         for k, (d, r, fs) in enumerate(instances):
-            rep = mu.mixed_multiplicities(
-                fs, backend=mu.TRUNCATION_EXACT, trunc_level=2, check_bound=6
-            )
+            rep = mu.mixed_multiplicities(fs, backend=mu.TRUNCATION_EXACT, trunc_level=2)
             for t, est in rep.coeffs.items():
                 assert est.value > 0, (k, d, r, t)
             for f in fs:
-                e = mu.multiplicity_estimate(
-                    f, backend=mu.TRUNCATION_EXACT, trunc_level=2, check_bound=6
-                )
+                e = mu.multiplicity_estimate(f, backend=mu.TRUNCATION_EXACT, trunc_level=2)
                 assert e.value > 0
 
             # append a filtration of zero multiplicity: coefficients that

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,27 @@ PLANE_PAIR = "configs/plane_pair.json"
 LINE_PLUS = "configs/line_plus_powers.json"
 SQRT2 = "configs/sqrt2.json"
 SQRT2_TRUNC = "configs/sqrt2_truncations.json"
+
+
+def adic(ideal):
+    return {"kind": "adic", "ideal": ideal}
+
+
+def valuation(weights=None, scale=None):
+    """A rounded-valuation spec, by default of weight 1 and scale sqrt(2)."""
+    return {
+        "kind": "rounded-valuation",
+        "weights": ["1"] if weights is None else weights,
+        "scale": {"sqrt": [2, 1]} if scale is None else scale,
+    }
+
+
+def one(spec):
+    """A model of the single filtration spec."""
+    return {"filtrations": [spec]}
+
+
+ADIC = adic({"dim": 2, "gens": [[1, 0], [0, 1]]})
 
 
 def run(capsys, argv):
@@ -86,7 +108,7 @@ class TestInputProblems:
         "params, message",
         [
             ({"trunc_level": True}, "trunc_level must be a positive integer"),
-            ({"check_bound": True}, "check_bound must be a positive integer"),
+            ({"check_bound": True}, "unknown params: ['check_bound']"),
             ({"cutoff": True}, "cutoff must be a positive integer"),
             ({"submult_bound": True}, "submult_bound must be a positive integer"),
             ({"order": True}, "order must be an integer of at least 2"),
@@ -140,6 +162,39 @@ class TestInputProblems:
         assert rc == 1
         assert out == ""
         assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (one(valuation("12")), "weights must be a list: '12'"),
+            (one(valuation({"3": 0})), "weights must be a list: {'3': 0}"),
+            (one(valuation(scale={"sqrt": [2, 1, 3]})), "sqrt must be a list of 2 entries"),
+            (
+                one(valuation(scale={"sqrt": [2, 1], "rat": [1, 1]})),
+                "scale spec needs one of sqrt or rat: ",
+            ),
+            (one({"kind": "adic"}), "adic filtration spec needs ideal: "),
+            (one({"kind": "truncated", "base": ADIC}), "truncated filtration spec needs level: "),
+            (one(dict(ADIC, gens=[[1]])), "adic filtration spec has unknown keys ['gens']"),
+            (one(adic({"dim": 2})), "ideal spec needs gens: "),
+            (one(adic({"dim": 2, "gens": 5})), "gens must be a list: 5"),
+            (one(adic({"dim": 2, "gens": [5]})), "generator must be a list: 5"),
+            ({"filtrations": ADIC}, "filtrations must be a list: "),
+            (dict(one(ADIC), weight=2), "model spec has unknown keys ['weight']"),
+            (
+                dict(one(ADIC), components=[{"filtrations": [ADIC]}]),
+                "model spec needs one of filtrations or components: ",
+            ),
+            (
+                {"components": [{"wieght": 2, "filtrations": [ADIC]}]},
+                "component spec has unknown keys ['wieght']",
+            ),
+            ({"components": [{"weight": 1}]}, "component spec needs filtrations: "),
+        ],
+    )
+    def test_model_specs_are_strict(self, model, message):
+        got = cli.validate({"model": model})
+        assert len(got) == 1 and got[0].startswith(f"bad model: {message}"), got
 
     def test_order_up_to_the_ladder_rungs_is_accepted(self, capsys, tmp_path):
         cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
@@ -247,10 +302,10 @@ class TestValidateDiagnostics:
     def test_scalar_params(self):
         cfg = self.base()
         cfg["params"]["cutoff"] = 0
-        cfg["params"]["check_bound"] = "four"
+        cfg["params"]["trunc_level"] = "four"
         got = cli.validate(cfg)
         assert any("cutoff" in p for p in got)
-        assert any("check_bound" in p for p in got)
+        assert any("trunc_level" in p for p in got)
 
     def test_backend_names(self):
         cfg = self.base()
@@ -442,10 +497,10 @@ class TestTruncLevelRule:
 
 
 class TestReadme:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
     def test_config_section_names_every_param(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-            encoding="utf-8"
-        )
+        readme = self.README.read_text(encoding="utf-8")
         section = readme.split("### Config format", 1)[1].split("\n## ", 1)[0]
         missing = [
             key
@@ -454,17 +509,24 @@ class TestReadme:
         ]
         assert not missing, f"README config section does not name {missing}"
 
+    def test_knob_list_is_the_params(self):
+        # the list after "selects the backend and its knobs", both ways
+        readme = " ".join(self.README.read_text(encoding="utf-8").split())
+        knobs = readme.split("selects the backend and its knobs (", 1)[1].split(")", 1)[0]
+        assert set(re.findall(r"`(\w+)`", knobs)) == cli._PARAM_KEYS - {"backend", "expected"}
+
 
 class TestCheckBound:
-    def test_small_check_bound_still_proves_the_period(self, capsys, tmp_path):
+    def test_the_period_needs_no_bound(self, capsys, tmp_path):
+        # the 4-truncation's period is 2; period 1 holds at i = 1 only
         cfg = json.loads(open(SQRT2, encoding="utf-8").read())
-        cfg["params"] = {"backend": "truncation-exact", "trunc_level": 4, "check_bound": 1}
+        cfg["params"] = {"backend": "truncation-exact", "trunc_level": 4}
         path = write_config(tmp_path, cfg)
         rc, out, _ = run(capsys, ["multiplicity", "--config", path, "--no-timestamp"])
         assert rc == 0
         mult = json.loads(out)["per_filtration"][0]["multiplicity"]
         assert mult["exact"] == "3/2"
-        assert "certified for i <= 4" in mult["note"]
+        assert "exact along period 2, certified for i <= 16;" in mult["note"]
 
 
 class TestVerifyFailures:
@@ -519,6 +581,22 @@ class TestSharedPipeline:
         rc, _, _ = run(capsys, ["verify", "--config", PLANE_PAIR, "--no-timestamp"])
         assert rc == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("config, fits", [(PLANE_PAIR, 2), (LINE_PLUS, 4)])
+    def test_each_report_fitted_once(self, capsys, monkeypatch, config, fits):
+        # a mixed report fits twice (value and lower evidence); line plus
+        # powers also fits its reduced instance
+        calls = []
+        real = mu.fit_homogeneous
+
+        def counted(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(mu, "fit_homogeneous", counted)
+        rc, _, _ = run(capsys, ["verify", "--config", config, "--no-timestamp"])
+        assert rc == 0
+        assert len(calls) == fits
 
     def test_failed_setup_fails_each_dependent_check(self, capsys, monkeypatch):
         def uncertified(f, *args):

@@ -443,24 +443,23 @@ class TestRescaling:
 class TestNoetherianPeriod:
     def test_truncated_adic_has_period_one(self):
         t = ft.truncate(ft.adic(mo.ideal(2, [(2, 0), (0, 1)])), 4)
-        cert = ft.noetherian_period(t, check_bound=8)
-        assert cert.period == 1 and cert.checked_bound == 8
+        assert ft.noetherian_period(t) == 1
 
     def test_sqrt2_period_table(self):
         for a, s in {1: 1, 2: 2, 4: 2, 8: 7, 16: 12}.items():
             t = ft.truncate(sqrt2_filtration(), a)
-            assert ft.noetherian_period(t, check_bound=64).period == s
+            assert ft.noetherian_period(t) == s
 
     def test_certified_period_satisfies_defining_equality(self):
         t = ft.truncate(sqrt2_filtration(), 8)
-        s = ft.noetherian_period(t, check_bound=64).period
+        s = ft.noetherian_period(t)
         block = t.ideal_at(s)
         assert all(t.ideal_at(s * i) == block.power(i) for i in range(1, 9))
 
     def test_gives_up_at_candidate_cap(self):
         t = ft.truncate(sqrt2_filtration(), 8)
         with pytest.raises(ft.PeriodNotCertified) as exc:
-            ft.noetherian_period(t, check_bound=64, candidate_cap=1)
+            ft.noetherian_period(t, candidate_cap=1)
         assert exc.value.best_candidate == 1
         assert exc.value.first_failure == 2
 
@@ -468,15 +467,10 @@ class TestNoetherianPeriod:
         with pytest.raises(TypeError):
             ft.noetherian_period(ft.adic(mo.maximal_ideal(2)))
 
-    def test_rejects_bad_bound(self):
-        t = ft.truncate(sqrt2_filtration(), 2)
-        with pytest.raises(ValueError):
-            ft.noetherian_period(t, check_bound=0)
 
-
-def full_bound_period(f, check_bound, candidate_cap=10_000):
+def full_bound_period(f, bound, candidate_cap=10_000):
     """noetherian_period with every candidate checked at every i up to
-    check_bound, as it ran before its checks stopped at the truncation level."""
+    bound, as it ran before its checks stopped at the truncation level."""
     ell = math.lcm(*range(1, f.a + 1))
     best_s, best_depth = 1, 0
     examined = 0
@@ -486,11 +480,11 @@ def full_bound_period(f, check_bound, candidate_cap=10_000):
         examined += 1
         block = f.ideal_at(s)
         failed_at = next(
-            (i for i in range(1, check_bound + 1) if f.ideal_at(s * i) != block.power(i)),
+            (i for i in range(1, bound + 1) if f.ideal_at(s * i) != block.power(i)),
             None,
         )
         if failed_at is None:
-            return ft.PeriodCertificate(period=s, checked_bound=check_bound)
+            return s
         if failed_at > best_depth:
             best_s, best_depth = s, failed_at
         if examined >= candidate_cap:
@@ -498,9 +492,9 @@ def full_bound_period(f, check_bound, candidate_cap=10_000):
     raise ft.PeriodNotCertified(best_s, best_depth)
 
 
-def period_outcome(search, f, check_bound, candidate_cap):
+def period_outcome(search, *args, candidate_cap):
     try:
-        return search(f, check_bound, candidate_cap)
+        return search(*args, candidate_cap=candidate_cap)
     except ft.PeriodNotCertified as exc:
         return ("not certified", exc.best_candidate, exc.first_failure, str(exc))
 
@@ -514,7 +508,8 @@ def seeded_truncations(dim, a_max, count):
 
 class TestPeriodFromFirstLevels:
     """Equality at every i <= a gives it at every i, so the period search
-    checks exactly the first a levels, whatever check_bound is."""
+    checks exactly the first a levels and agrees with a search that checks
+    every i up to any bound B >= a."""
 
     CASES = ((1, 5, 16), (2, 4, 16), (3, 3, 10))
 
@@ -530,12 +525,12 @@ class TestPeriodFromFirstLevels:
     def test_matches_the_full_bound_search(self, dim, a_max, count):
         certified = set()
         for t in seeded_truncations(dim, a_max, count):
-            for bound in sorted({1, 2, t.a, t.a + 1, 16}):
-                for cap in (1, 2, 10_000):
-                    got = period_outcome(ft.noetherian_period, t, bound, cap)
-                    want = period_outcome(full_bound_period, t, max(bound, t.a), cap)
+            for cap in (1, 2, 10_000):
+                got = period_outcome(ft.noetherian_period, t, candidate_cap=cap)
+                certified.add(isinstance(got, int))
+                for bound in sorted({t.a, t.a + 1, 16}):
+                    want = period_outcome(full_bound_period, t, bound, candidate_cap=cap)
                     assert got == want, (t.a, bound, cap)
-                    certified.add(isinstance(got, ft.PeriodCertificate))
         assert certified == {True, False}
 
     def test_level_one_truncation_multiplies_nothing(self, monkeypatch):
@@ -548,7 +543,7 @@ class TestPeriodFromFirstLevels:
             return product(self, other)
 
         monkeypatch.setattr(mo.MonomialIdeal, "__mul__", counted)
-        assert ft.noetherian_period(t, check_bound=16).period == 1
+        assert ft.noetherian_period(t) == 1
         assert not calls
 
 

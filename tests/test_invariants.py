@@ -21,7 +21,6 @@ from conftest import FILTRATION_KINDS, random_filtration, random_primary_ideal, 
 
 D = 3
 SEEDS = range(5)
-CHECK = 4  # period certification depth; the identities hold at any certified period
 
 
 class Permuted(ft.Filtration):
@@ -47,12 +46,12 @@ def truncated_pair(seed):
 
 
 def coeffs(fs, **kw):
-    rep = mu.mixed_multiplicities(fs, mu.TRUNCATION_EXACT, check_bound=CHECK, **kw)
+    rep = mu.mixed_multiplicities(fs, mu.TRUNCATION_EXACT, **kw)
     return {t: e.value for t, e in rep.coeffs.items()}
 
 
 def multiplicity(f, **kw):
-    return mu.multiplicity_estimate(f, mu.TRUNCATION_EXACT, check_bound=CHECK, **kw).value
+    return mu.multiplicity_estimate(f, mu.TRUNCATION_EXACT, **kw).value
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -67,7 +66,7 @@ def test_power_scales_multiplicity_by_k_to_the_d(seed):
 def test_rescale_scales_multiplicity_by_s_to_the_d(kind):
     rng = random.Random(kind)
     f = ft.truncate(random_filtration(rng, D, kind), rng.randint(1, 2))
-    p = ft.noetherian_period(f, CHECK).period
+    p = ft.noetherian_period(f)
     # g = rescale(f, 2) has g_pk = f_2pk = f_p^2k = g_p^k, so g agrees with
     # its truncation at p along multiples of p
     assert multiplicity(ft.rescale(f, 2), trunc_level=p) == 2**D * multiplicity(f)
@@ -96,7 +95,7 @@ def test_truncation_ladder_never_increases(seed):
     rng = random.Random(seed)
     kinds = (FILTRATION_KINDS[seed % 5], FILTRATION_KINDS[(seed + 1) % 5])
     fs = [random_filtration(rng, D, k) for k in kinds]
-    ladder = mu.truncation_ladder(fs, [1, 2, 4], check_bound=CHECK)
+    ladder = mu.truncation_ladder(fs, [1, 2, 4])
     for t, diffs in ladder.differences.items():
         assert all(step <= 0 for step in diffs), (t, diffs)
 
@@ -116,7 +115,7 @@ def test_single_component_coefficients_positive(seed):
     fs = truncated_pair(seed)
     assert all(multiplicity(f) > 0 for f in fs)
     assert all(v > 0 for v in coeffs(fs).values())
-    assert mu.positivity_report(fs, check_bound=CHECK).ok
+    assert mu.positivity_report(fs).ok
 
 
 MODULE_SEEDS = range(12)

@@ -143,16 +143,14 @@ class TestMinkowskiGrowthOracle:
         seed, (d, kinds, amax) = case
         rng = random.Random(9000 + seed)
         fs = [ft.truncate(random_filtration(rng, d, k), rng.randint(1, amax)) for k in kinds]
-        pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT, check_bound=4)
+        pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT)
         (_, _, s), = pipe.parts
         for n in mu.sample_grid(d, len(fs)):
             assert pipe.growth(n).value == product_covolume_growth(fs, n, s), n
         if len(fs) > 1:
             keep = sorted(rng.sample(range(len(fs)), rng.randint(1, len(fs) - 1)))
             sub = pipe.restricted(keep)
-            fresh = mu._WeightedGrowth(
-                [(1, [fs[j] for j in keep])], mu.TRUNCATION_EXACT, check_bound=4
-            )
+            fresh = mu._WeightedGrowth([(1, [fs[j] for j in keep])], mu.TRUNCATION_EXACT)
             for n in mu.sample_grid(d, len(keep)):
                 assert sub.growth(n).value == fresh.growth(n).value, (keep, n)
 
@@ -167,7 +165,7 @@ class TestExactErrorPaths:
     def test_dimension_five_is_refused(self):
         f = ft.adic(mo.maximal_ideal(5))
         with pytest.raises(ValueError, match="geometric operations are limited to dimension 4"):
-            mu.mixed_multiplicities([f], trunc_level=1, check_bound=2)
+            mu.mixed_multiplicities([f], trunc_level=1)
         assert mu.exact_growth([f], (0,), 1) == 0
 
     def test_non_primary_level_is_refused(self):
@@ -190,9 +188,10 @@ class TestCommonPeriod:
         # periods 1 and 2, each proved for every i, so their lcm is too
         a = ft.truncate(ft.adic(mo.ideal(1, [(2,)])), 3)
         b = ft.truncate(sqrt2_filtration(), 2)
-        cert = mu.verified_common_period([a, b], check_bound=16)
-        assert cert.period == 2
-        assert cert.checked_bound == 16
+        assert [ft.noetherian_period(f) for f in (a, b)] == [1, 2]
+        rep = mu.mixed_multiplicities([a, b], mu.TRUNCATION_EXACT)
+        for est in rep.coeffs.values():
+            assert est.error_note == "exact along period 2, certified for i <= 16"
 
 
 class TestGrid:
@@ -287,23 +286,17 @@ class TestMultiplicityEstimate:
         est = mu.multiplicity_estimate(
             ft.truncate(sqrt2_filtration(), 8),
             backend=mu.TRUNCATION_EXACT,
-            check_bound=64,
         )
         assert est.value == F(10, 7)
         assert est.method == mu.TRUNCATION_EXACT
 
-    @pytest.mark.parametrize("check_bound", range(1, 17))
-    def test_check_bound_never_changes_the_value(self, check_bound):
-        # the 4-truncation's period is 2, and period 1 holds at i = 1 only,
-        # so a search that stops at i <= check_bound would take it and give 2
+    @pytest.mark.parametrize("a", [1, 4, 16, 20])
+    def test_note_label(self, a):
+        # every period holds for every i; the label reads max(16, a)
         est = mu.multiplicity_estimate(
-            sqrt2_filtration(),
-            mu.TRUNCATION_EXACT,
-            trunc_level=4,
-            check_bound=check_bound,
+            ft.truncate(ft.rounded_valuation((1,), ft.root_scale(2)), a), mu.TRUNCATION_EXACT
         )
-        assert est.value == F(3, 2)
-        assert f"certified for i <= {max(check_bound, 4)}" in est.error_note
+        assert f"certified for i <= {max(16, a)};" in est.error_note
 
     def test_exact_needs_truncation(self):
         with pytest.raises(ValueError):
@@ -321,7 +314,7 @@ class TestTruncationLadder:
         assert all(rep.coeffs[(2,)].value == F(1) for _, rep in tl.entries)
 
     def test_sqrt2_ladder_descends(self):
-        tl = mu.truncation_ladder([sqrt2_filtration()], [1, 2, 4, 8], check_bound=32)
+        tl = mu.truncation_ladder([sqrt2_filtration()], [1, 2, 4, 8])
         vals = [rep.coeffs[(1,)].value for _, rep in tl.entries]
         assert vals == [F(2), F(3, 2), F(3, 2), F(10, 7)]
         assert all(d <= 0 for d in tl.differences[(1,)])

@@ -196,7 +196,7 @@ class TestReportSerializers:
         assert {c["name"] for c in obj["checks"]} >= {"nonnegative"}
 
     def test_ladder_json_and_csv(self):
-        tl = mu.truncation_ladder([sqrt2_filtration()], [1, 2, 4], check_bound=32)
+        tl = mu.truncation_ladder([sqrt2_filtration()], [1, 2, 4])
         obj = se.ladder_to_json(tl)
         json.dumps(obj)
         assert [e["level"] for e in obj["entries"]] == [1, 2, 4]
@@ -249,7 +249,7 @@ class TestReportSerializers:
         assert obj["containment_pass"] is True
         assert obj["sum_volume"] is None
 
-    def test_submultiplicativity_and_period(self):
+    def test_submultiplicativity(self):
         rep = ft.check_submultiplicative(maximal_adic(), 6)
         obj = se.report_to_json(rep)
         json.dumps(obj)
@@ -259,11 +259,6 @@ class TestReportSerializers:
             "ok": True,
             "first_violation": None,
         }
-
-        cert = ft.noetherian_period(ft.truncate(sqrt2_filtration(), 4), check_bound=16)
-        obj = se.report_to_json(cert)
-        json.dumps(obj)
-        assert obj == {"kind": "period-certificate", "period": 2, "checked_bound": 16}
 
 
 class TestFieldReportJson:
@@ -357,12 +352,4 @@ class TestFieldReportJson:
             "bound": 6,
             "ok": False,
             "first_violation": [1, 1],
-        }
-
-    def test_period_certificate(self):
-        cert = ft.noetherian_period(ft.truncate(sqrt2_filtration(), 4), check_bound=16)
-        assert se.report_to_json(cert) == {
-            "kind": "period-certificate",
-            "period": 2,
-            "checked_bound": 16,
         }
