@@ -26,6 +26,7 @@ from .components import (
 from .filtration import check_submultiplicative
 from .multiplicity import (
     DEFAULT_LADDER,
+    DEFAULT_ZERO_THRESHOLD,
     DIRECT,
     TRUNCATION_EXACT,
     _positivity,
@@ -103,77 +104,65 @@ def _expected_key_ok(section: str, key: str, r: int, d: int) -> bool:
     return len(t) == r and min(t) >= 0 and (section == "colength" or sum(t) == d)
 
 
-def validate(config: dict) -> list[str]:
-    """Collect configuration problems without running anything."""
+def validate(config: dict) -> tuple[ComponentModel | None, list[str]]:
+    """The config's model, parsed once (None if it cannot be), and the
+    configuration problems, collected without running anything."""
     problems = []
     unknown = set(config) - {"model", "params"}
     if unknown:
         problems.append(f"unknown config keys: {sorted(unknown)}")
     if "model" not in config:
         problems.append("config needs a model")
-        return problems
+        return None, problems
     try:
         model = serialize.model_from_json(config["model"])
     except (ValueError, KeyError, TypeError) as exc:
         problems.append(f"bad model: {exc}")
-        return problems
+        return None, problems
     params = config.get("params", {})
     if not isinstance(params, dict):
         problems.append("params must be an object")
-        return problems
+        return model, problems
     unknown = set(params) - _PARAM_KEYS
     if unknown:
         problems.append(f"unknown params: {sorted(unknown)}")
     r = model.r
 
-    def check_vector(key):
-        v = params.get(key)
-        if v is None:
-            return
-        if (
-            not isinstance(v, list)
-            or len(v) != r
-            or not all(_is_int(c) for c in v)
-        ):
-            problems.append(f"{key} must be a list of {r} integers")
-        elif any(c < 0 for c in v):
-            problems.append(f"{key} entries must be nonnegative")
+    def is_row(v):
+        """A list of r integers: sigma, tau and each levels row."""
+        return isinstance(v, list) and len(v) == r and all(_is_int(c) for c in v)
 
-    check_vector("sigma")
-    check_vector("tau")
+    def is_ladder(v, shortest):
+        """Strictly increasing positive integers: ladder, truncation_levels."""
+        return (
+            isinstance(v, list)
+            and len(v) >= shortest
+            and all(_is_int(c) and c > 0 for c in v)
+            and all(a < b for a, b in zip(v, v[1:]))
+        )
+
+    for key in ("sigma", "tau"):
+        if params.get(key) is None:
+            continue
+        if not is_row(params[key]):
+            problems.append(f"{key} must be a list of {r} integers")
+        elif any(c < 0 for c in params[key]):
+            problems.append(f"{key} entries must be nonnegative")
     if "levels" in params:
         rows = params["levels"]
         if not isinstance(rows, list) or not rows:
             problems.append("levels must be a nonempty list of level vectors")
         else:
-            for row in rows:
-                if (
-                    not isinstance(row, list)
-                    or len(row) != r
-                    or not all(_is_int(c) and c >= 0 for c in row)
-                ):
-                    problems.append(f"levels row must be {r} nonnegative integers: {row!r}")
-                    break
-    if "ladder" in params:
-        lad = params["ladder"]
-        if (
-            not isinstance(lad, list)
-            or len(lad) < 3
-            or not all(_is_int(c) and c > 0 for c in lad)
-            or any(a >= b for a, b in zip(lad, lad[1:]))
-        ):
-            problems.append("ladder must be a strictly increasing list of >= 3 positive integers")
+            bad = [row for row in rows if not is_row(row) or any(c < 0 for c in row)]
+            if bad:
+                problems.append(f"levels row must be {r} nonnegative integers: {bad[0]!r}")
+    if "ladder" in params and not is_ladder(params["ladder"], 3):
+        problems.append("ladder must be a strictly increasing list of >= 3 positive integers")
     if "truncation_levels" in params:
-        ts = params["truncation_levels"]
-        if (
-            not isinstance(ts, list)
-            or not ts
-            or not all(_is_int(c) and c > 0 for c in ts)
-            or any(a >= b for a, b in zip(ts, ts[1:]))
-        ):
+        if not is_ladder(params["truncation_levels"], 1):
             problems.append("truncation_levels must be strictly increasing positive integers")
-        if len(model.components) > 1:
-            problems.append("truncation ladders need a single-component model")
+        if _single_component(model) is None:
+            problems.append("truncation ladders need a single component of weight 1")
     for key in ("trunc_level", "cutoff", "submult_bound"):
         if key in params and (not _is_int(params[key]) or params[key] < 1):
             problems.append(f"{key} must be a positive integer")
@@ -214,7 +203,7 @@ def validate(config: dict) -> list[str]:
                         serialize.parse_frac(v)
                     except ValueError:
                         problems.append(f"expected {section}[{k}] is not a rational: {v!r}")
-    return problems
+    return model, problems
 
 
 def _single_component(model: ComponentModel):
@@ -248,57 +237,49 @@ def run_colength(model: ComponentModel, params: dict):
             {"levels": list(levels), "per_component": per, "colength": sum(per)}
         )
     payload = {"kind": "colength", "rows": rows}
-    lines = ["levels,colength"]
-    lines += [
-        "{},{}".format(" ".join(map(str, r["levels"])), r["colength"]) for r in rows
-    ]
-    return payload, "\n".join(lines) + "\n"
+    return payload, serialize._csv(
+        ["levels", "colength"],
+        ([" ".join(map(str, r["levels"])), r["colength"]] for r in rows),
+    )
 
 
 def run_multiplicity(model: ComponentModel, params: dict):
+    ests = component_multiplicities(model, **_backend_args(params))
     per = [
         {"index": j, "multiplicity": serialize.estimate_to_json(est)}
-        for j, est in enumerate(component_multiplicities(model, **_backend_args(params)))
+        for j, est in enumerate(ests)
     ]
     payload = {"kind": "multiplicity", "per_filtration": per}
-    lines = ["index,multiplicity"]
-    for entry in per:
-        m = entry["multiplicity"]
-        lines.append(f"{entry['index']},{m.get('exact', m.get('fit'))}")
-    return payload, "\n".join(lines) + "\n"
+    return payload, serialize._csv(
+        ["index", "multiplicity"],
+        ([j, serialize.frac_str(est.value)] for j, est in enumerate(ests)),
+    )
 
 
 def run_mixed(model: ComponentModel, params: dict):
     args = _backend_args(params)
     rep = component_mixed(model, **args)
     payload = {"kind": "mixed", "mixed": serialize.mixed_report_to_json(rep)}
-    csv_text = None
-    if "truncation_levels" in params:
-        fs = _single_component(model)
-        if fs is None:
-            raise CliError("truncation ladders need a single-component model")
-        # The model's own report is the ladder entry at trunc_level, if any.
-        known = {args["trunc_level"]: rep} if args["backend"] == TRUNCATION_EXACT else {}
-        tl = _truncation_ladder(fs, params["truncation_levels"], known)
-        payload["ladder"] = serialize.ladder_to_json(tl)
-        csv_text = serialize.ladder_to_csv(tl)
-    if csv_text is None:
-        types = sorted(rep.coeffs, reverse=True)
-        lines = ["type,value"]
-        lines += [
-            "{},{}".format(
-                " ".join(map(str, t)), serialize.frac_str(rep.coeffs[t].value)
-            )
-            for t in types
-        ]
-        csv_text = "\n".join(lines) + "\n"
-    return payload, csv_text
+    if "truncation_levels" not in params:
+        return payload, serialize._csv(
+            ["type", "value"],
+            (
+                [" ".join(map(str, t)), serialize.frac_str(rep.coeffs[t].value)]
+                for t in sorted(rep.coeffs, reverse=True)
+            ),
+        )
+    # validate has checked that the model is one component of weight 1, and
+    # the model's own report is the ladder entry at trunc_level, if any.
+    known = {args["trunc_level"]: rep} if args["backend"] == TRUNCATION_EXACT else {}
+    tl = _truncation_ladder(_single_component(model), params["truncation_levels"], known)
+    payload["ladder"] = serialize.ladder_to_json(tl)
+    return payload, serialize.ladder_to_csv(tl)
 
 
 def run_okounkov(model: ComponentModel, params: dict):
     fs = _single_component(model)
     if fs is None:
-        raise CliError("semigroup bodies need a single-component model")
+        raise CliError("semigroup bodies need a single component of weight 1")
     sigma = tuple(params.get("sigma", [1] * model.r))
     cutoff = params.get("cutoff", 16)
     bound = okounkov.degree_bound(fs, sigma)
@@ -352,10 +333,12 @@ def run_verify(model: ComponentModel, params: dict):
 
     def positivity():
         if fs is not None:
-            rep = _positivity(
-                pipeline(),
-                serialize.parse_frac(params.get("zero_threshold", "1/1000")),
+            threshold = (
+                serialize.parse_frac(params["zero_threshold"])
+                if "zero_threshold" in params
+                else DEFAULT_ZERO_THRESHOLD
             )
+            rep = _positivity(pipeline(), threshold)
             failing = [c.name for c in rep.checks if not c.passed]
             detail = "all sign checks hold" if rep.ok else f"failing: {failing}"
             return rep.ok, detail, serialize.positivity_report_to_json(rep)
@@ -545,12 +528,11 @@ def main(argv=None) -> int:
         if ns.command == "example1":
             # the built-in model replaces any given one; params are checked against it
             config["model"] = serialize.model_to_json(two_branch_model())
-        problems = validate(config)
+        model, problems = validate(config)
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 1
-        model = serialize.model_from_json(config["model"])
         payload, csv_text = runners[ns.command](model, config.get("params", {}))
         _emit(payload, csv_text, ns, ns.command)
         failed = payload.get("failed", [])

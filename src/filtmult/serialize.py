@@ -262,15 +262,23 @@ def ladder_to_json(tl: TruncationLadder) -> dict:
     }
 
 
+def _csv(header, rows) -> str:
+    """The CSV text of a header row and then rows; every table goes through
+    here."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
 def ladder_to_csv(tl: TruncationLadder) -> str:
     """One row per truncation level, one exact column per type vector."""
     types = sorted(tl.entries[0][1].coeffs, reverse=True)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["level"] + [f"e[{_type_key(t)}]" for t in types])
-    for a, rep in tl.entries:
-        w.writerow([a] + [frac_str(rep.coeffs[t].value) for t in types])
-    return out.getvalue()
+    return _csv(
+        ["level"] + [f"e[{_type_key(t)}]" for t in types],
+        ([a] + [frac_str(rep.coeffs[t].value) for t in types] for a, rep in tl.entries),
+    )
 
 
 def body_to_json(b: okounkov.OkounkovBody) -> dict:
@@ -287,13 +295,11 @@ def body_to_json(b: okounkov.OkounkovBody) -> dict:
 
 def body_to_csv(b: okounkov.OkounkovBody) -> str:
     """Vertex table with float companions, for plotting."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
     d = b.body.dim
-    w.writerow([f"x{i+1}" for i in range(d)] + [f"x{i+1}_float" for i in range(d)])
-    for v in b.body.vertices:
-        w.writerow([frac_str(c) for c in v] + [float(c) for c in v])
-    return out.getvalue()
+    return _csv(
+        [f"x{i+1}" for i in range(d)] + [f"x{i+1}_float" for i in range(d)],
+        ([frac_str(c) for c in v] + [float(c) for c in v] for v in b.body.vertices),
+    )
 
 
 def origin_collapse_to_json(rep: okounkov.OriginCollapseReport) -> dict:

@@ -38,6 +38,13 @@ def one(spec):
 
 ADIC = adic({"dim": 2, "gens": [[1, 0], [0, 1]]})
 
+# Models that are not a single component of weight 1: two components, and
+# one component of weight 2.
+NOT_WEIGHT_ONE = [
+    serialize.model_to_json(two_branch_model()),
+    {"components": [{"weight": 2, "filtrations": [valuation()]}]},
+]
+
 
 def run(capsys, argv):
     rc = cli.main(argv)
@@ -193,13 +200,13 @@ class TestInputProblems:
         ],
     )
     def test_model_specs_are_strict(self, model, message):
-        got = cli.validate({"model": model})
+        got = cli.validate({"model": model})[1]
         assert len(got) == 1 and got[0].startswith(f"bad model: {message}"), got
 
     def test_order_up_to_the_ladder_rungs_is_accepted(self, capsys, tmp_path):
         cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
         cfg["params"] = {"backend": "direct", "ladder": [2, 4, 8, 16], "order": 4}
-        assert cli.validate(cfg) == []
+        assert cli.validate(cfg)[1] == []
         rc, _, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
         assert rc == 0 and err == ""
 
@@ -236,20 +243,31 @@ class TestInputProblems:
         listed = [line.split()[0] for line in out.split("commands:\n", 1)[1].splitlines()]
         assert listed == ["colength", "multiplicity", "mixed", "okounkov", "verify", "example1"]
 
-    def test_okounkov_needs_single_component(self, capsys, tmp_path):
-        cfg = {"model": serialize.model_to_json(two_branch_model())}
-        rc, _, err = run(capsys, ["okounkov", "--config", write_config(tmp_path, cfg)])
+    @pytest.mark.parametrize("model", NOT_WEIGHT_ONE, ids=["two", "weight2"])
+    def test_okounkov_needs_single_component(self, capsys, tmp_path, model):
+        cfg = {"model": model}
+        rc, out, err = run(capsys, ["okounkov", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
-        assert "single-component" in err
+        assert out == ""
+        assert err == "error: semigroup bodies need a single component of weight 1\n"
 
-    def test_truncation_ladder_needs_single_component(self, capsys, tmp_path):
+    @pytest.mark.parametrize("model", NOT_WEIGHT_ONE, ids=["two", "weight2"])
+    def test_truncation_ladder_needs_single_component(
+        self, capsys, tmp_path, monkeypatch, model
+    ):
+        # a config error, found before the mixed report is computed
+        def never(*args, **kwargs):
+            raise AssertionError("component_mixed ran")
+
+        monkeypatch.setattr(cli, "component_mixed", never)
         cfg = {
-            "model": serialize.model_to_json(two_branch_model()),
+            "model": model,
             "params": {"truncation_levels": [1, 2]},
         }
-        rc, _, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
+        rc, out, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
-        assert "single-component" in err
+        assert out == ""
+        assert err == "config error: truncation ladders need a single component of weight 1\n"
 
 
 class TestValidateDiagnostics:
@@ -257,75 +275,75 @@ class TestValidateDiagnostics:
         return json.loads(open(PLANE_PAIR, encoding="utf-8").read())
 
     def test_missing_model(self):
-        assert cli.validate({}) == ["config needs a model"]
+        assert cli.validate({})[1] == ["config needs a model"]
 
     def test_bad_model(self):
-        got = cli.validate({"model": {"kind": "nope"}})
+        got = cli.validate({"model": {"kind": "nope"}})[1]
         assert len(got) == 1 and got[0].startswith("bad model")
 
     def test_params_must_be_object(self):
         cfg = self.base()
         cfg["params"] = [1]
-        assert cli.validate(cfg) == ["params must be an object"]
+        assert cli.validate(cfg)[1] == ["params must be an object"]
 
     def test_unknown_param(self):
         cfg = self.base()
         cfg["params"]["fuel"] = 3
-        assert any("unknown params" in p for p in cli.validate(cfg))
+        assert any("unknown params" in p for p in cli.validate(cfg)[1])
 
     def test_sigma_shape(self):
         cfg = self.base()
         cfg["params"]["sigma"] = [1]
-        assert any("sigma must be a list of 2 integers" in p for p in cli.validate(cfg))
+        assert any("sigma must be a list of 2 integers" in p for p in cli.validate(cfg)[1])
         cfg["params"]["sigma"] = [1, True]
-        assert any("sigma" in p for p in cli.validate(cfg))
+        assert any("sigma" in p for p in cli.validate(cfg)[1])
 
     def test_levels_rows(self):
         cfg = self.base()
         cfg["params"]["levels"] = [[1, 2], [3]]
-        assert any("levels row" in p for p in cli.validate(cfg))
+        assert any("levels row" in p for p in cli.validate(cfg)[1])
         cfg["params"]["levels"] = []
-        assert any("nonempty" in p for p in cli.validate(cfg))
+        assert any("nonempty" in p for p in cli.validate(cfg)[1])
 
     def test_ladder_shape(self):
         cfg = self.base()
         cfg["params"]["ladder"] = [4, 8]
-        assert any("ladder" in p for p in cli.validate(cfg))
+        assert any("ladder" in p for p in cli.validate(cfg)[1])
         cfg["params"]["ladder"] = [8, 8, 16]
-        assert any("ladder" in p for p in cli.validate(cfg))
+        assert any("ladder" in p for p in cli.validate(cfg)[1])
 
     def test_truncation_levels_shape(self):
         cfg = self.base()
         cfg["params"]["truncation_levels"] = [2, 2]
-        assert any("truncation_levels" in p for p in cli.validate(cfg))
+        assert any("truncation_levels" in p for p in cli.validate(cfg)[1])
 
     def test_scalar_params(self):
         cfg = self.base()
         cfg["params"]["cutoff"] = 0
         cfg["params"]["trunc_level"] = "four"
-        got = cli.validate(cfg)
+        got = cli.validate(cfg)[1]
         assert any("cutoff" in p for p in got)
         assert any("trunc_level" in p for p in got)
 
     def test_backend_names(self):
         cfg = self.base()
         cfg["params"]["backend"] = "magic"
-        assert any("backend must be" in p for p in cli.validate(cfg))
+        assert any("backend must be" in p for p in cli.validate(cfg)[1])
 
     def test_tolerance_positive(self):
         cfg = self.base()
         cfg["params"]["tolerance"] = "0"
-        assert any("tolerance must be positive" in p for p in cli.validate(cfg))
+        assert any("tolerance must be positive" in p for p in cli.validate(cfg)[1])
 
     def test_expected_sections(self):
         cfg = self.base()
         cfg["params"]["expected"] = {"volumes": {}}
-        assert any("unknown expected section" in p for p in cli.validate(cfg))
+        assert any("unknown expected section" in p for p in cli.validate(cfg)[1])
         cfg["params"]["expected"] = {"coefficients": {"2,0": "a/b"}}
-        assert any("not a rational" in p for p in cli.validate(cfg))
+        assert any("not a rational" in p for p in cli.validate(cfg)[1])
 
     def test_clean_config_has_no_problems(self):
-        assert cli.validate(self.base()) == []
+        assert cli.validate(self.base())[1] == []
 
 
 class TestCommandsOnShippedConfigs:
@@ -515,6 +533,50 @@ class TestReadme:
         knobs = readme.split("selects the backend and its knobs (", 1)[1].split(")", 1)[0]
         assert set(re.findall(r"`(\w+)`", knobs)) == cli._PARAM_KEYS - {"backend", "expected"}
 
+    def knob_rows(self, command):
+        """The rows of README's knob table whose first cell names command."""
+        section = self.README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        return "\n".join(row for row in rows if f"`{command}`" in row.split(" | ")[0])
+
+    @pytest.mark.parametrize(
+        "command, config, key, value, documented",
+        [
+            pytest.param(*case, id=f"{case[0]}-{case[2]}-{Path(case[1]).stem}")
+            for case in (
+                ("colength", PLANE_PAIR, "levels", [[1, 1]], "`levels`: `[[1, …, 1]]`"),
+                ("multiplicity", LINE_PLUS, "backend", "direct", '`backend`: `"direct"`'),
+                ("multiplicity", LINE_PLUS, "ladder", [8, 16, 32], "`ladder`: `[8, 16, 32]`"),
+                ("multiplicity", LINE_PLUS, "order", 2, "`order`: 2"),
+                ("okounkov", PLANE_PAIR, "sigma", [1, 1], "`sigma`: all ones"),
+                ("okounkov", PLANE_PAIR, "cutoff", 16, "`cutoff`: 16"),
+                ("verify", PLANE_PAIR, "submult_bound", 8, "`submult_bound`: 8"),
+                (
+                    "verify", LINE_PLUS, "zero_threshold", "1/1000",
+                    '`zero_threshold`: `"1/1000"`',
+                ),
+                ("verify", SQRT2, "cutoff", 16, "`cutoff`: 16 when r = 1"),
+                ("verify", PLANE_PAIR, "cutoff", 8, "8 when r ≥ 2"),
+                ("verify", PLANE_PAIR, "sigma", [1, 0], "`sigma`: e₁ `[1, 0, …, 0]`"),
+                ("verify", PLANE_PAIR, "tau", [0, 1], "`tau`: the rest, `[0, 1, …, 1]`"),
+            )
+        ],
+    )
+    def test_default_is_the_documented_value(
+        self, capsys, tmp_path, command, config, key, value, documented
+    ):
+        assert documented in self.knob_rows(command)
+        cfg = json.loads(open(config, encoding="utf-8").read())
+        cfg["params"].pop(key, None)
+        outs = []
+        for name in ("without.json", "with.json"):
+            path = write_config(tmp_path, cfg, name)
+            rc, out, err = run(capsys, [command, "--config", path, "--no-timestamp"])
+            assert (rc, err) == (0, "")
+            outs.append(out)
+            cfg["params"][key] = value
+        assert outs[0] == outs[1]
+
 
 class TestCheckBound:
     def test_the_period_needs_no_bound(self, capsys, tmp_path):
@@ -621,6 +683,30 @@ class TestSharedPipeline:
 
 class TestSharedWork:
     """Work that two parts of one command need is done once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["colength", "--config", PLANE_PAIR],
+            ["multiplicity", "--config", PLANE_PAIR],
+            ["mixed", "--config", SQRT2_TRUNC],
+            ["okounkov", "--config", SQRT2],
+            ["verify", "--config", PLANE_PAIR],
+            ["example1"],
+        ],
+    )
+    def test_each_command_parses_its_model_once(self, capsys, monkeypatch, argv):
+        calls = []
+        real = serialize.model_from_json
+
+        def counted(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(serialize, "model_from_json", counted)
+        rc, _, _ = run(capsys, argv + ["--no-timestamp"])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_verify_builds_one_value_semigroup(self, capsys, monkeypatch):
         # volume-identity and origin-collapse read the same semigroup
@@ -761,3 +847,4 @@ class TestPinnedOutputs:
         rc, _, _ = run(capsys, ["example1", "--config", path, "--no-timestamp"])
         assert rc == 0
         assert len(calls) == 4
+
