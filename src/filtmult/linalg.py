@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Small dense problems only: determinants for the geometry kernel in
-dimension <= 4 and exact solves for the polynomial and affine fits, which
-have at most a few dozen unknowns.  Everything is done with
+dimension <= 4, and exact solves and inverses for the polynomial and
+affine fits, which have at most a few dozen unknowns.  One Gauss–Jordan
+elimination serves both: solve_linear reduces the matrix beside one
+right-hand side, inverse beside the identity.  The fits in multiplicity
+read their weights from these once per point set.  Everything is done with
 ``fractions.Fraction`` (or plain ints where inputs are integral), so
 results are exact and reproducible.
 """
@@ -24,7 +27,29 @@ def solve_linear(a: Matrix, b: Vector) -> list[Fraction]:
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_linear needs a square system")
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    m = _reduced([[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)])
+    return [row[n] for row in m]
+
+
+def inverse(a: Matrix) -> list[list[Fraction]]:
+    """Inverse of the square matrix a, exactly.
+
+    Raises ValueError if the matrix is singular.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse needs a square matrix")
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = _reduced([[Fraction(x) for x in row] + e for row, e in zip(a, eye)])
+    return [row[n:] for row in m]
+
+
+def _reduced(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss–Jordan elimination of the rows m = [a | b], a square, in place.
+
+    Leaves [identity | a^-1 b]; raises ValueError if a is singular.
+    """
+    n = len(m)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
@@ -35,8 +60,8 @@ def solve_linear(a: Matrix, b: Vector) -> list[Fraction]:
         for r in range(n):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+                m[r] = [v - f * w if w else v for v, w in zip(m[r], m[col])]
+    return m
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:

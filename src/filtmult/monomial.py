@@ -4,15 +4,20 @@ An ideal is stored as the antichain of its minimal generators: a finite set
 of exponent vectors in N^d, none componentwise below another, sorted.
 Membership, sums, products and powers are pure set combinatorics on that
 antichain.  Exponents are validated once, where they enter (:func:`ideal`,
-:func:`minimalize`); sums and products hand sorted, deduplicated tuples
+:func:`minimalize`); sums, and products in dimension one, from four on
+and of a few far generators in three, hand sorted, deduplicated tuples
 straight to the antichain kernel, which sweeps in dimensions one to three
 and tests dominance with bitsets from four on.  The kernel lives in
 :mod:`polytope`, whose Newton-polyhedron geometry starts with the same
 step, and is bound here by name.  Plane products keep the least y per x
-over all pairwise sums and sweep that staircase once.  Colengths (the
-number of standard monomials) are computed exactly by coordinate slicing;
-the geometric quantities (Newton polyhedron vertices, covolume) are
-delegated to the polytope kernel.
+over all pairwise sums and sweep that staircase once.  Space products pack
+each exponent into one int, wide enough that sums never carry, so the
+pairwise sums are one set of ints in lexicographic order; one sweep over
+slabs of equal x, against a dense front of the least z per y, keeps the
+minimal sums and unpacks only those.
+Colengths (the number of standard monomials) are computed exactly by
+coordinate slicing; the geometric quantities (Newton polyhedron vertices,
+covolume) are delegated to the polytope kernel.
 """
 
 from __future__ import annotations
@@ -79,6 +84,60 @@ def _staircase_product(
     return tuple(kept)
 
 
+def _packed_product(
+    gens: Sequence[Exponent], others: Sequence[Exponent], top: int
+) -> tuple[Exponent, ...]:
+    """Minimal generators of a product of two space ideals.
+
+    top bounds every coordinate of every pairwise sum.  Each exponent is
+    packed into one int, s bits per coordinate with 2^s > top.  Sums then
+    never carry, so adding packed ints adds exponents, and int order is
+    lexicographic order.  One sweep over the sorted distinct sums takes
+    them in slabs of equal x: front[y] is the least z kept in an earlier
+    slab at some y' <= y, and low the least z met so far in this slab
+    (every earlier point of the slab has y' <= y).  A sum is minimal iff
+    its z lies below both, and only the kept sums are unpacked.
+    """
+    s = top.bit_length()
+    s2 = 2 * s
+    mask = (1 << s) - 1
+    left = [(a << s2) | (b << s) | c for a, b, c in gens]
+    right = [(a << s2) | (b << s) | c for a, b, c in others]
+    sums = sorted({p + q for p in left for q in right})
+    front = [top + 1] * (top + 1)
+    kept: list[Exponent] = []
+    slab: list[tuple[int, int]] = []  # this slab's kept (y, z), z falling
+    x = -1
+    low = 0
+    for v in sums:
+        if v >> s2 != x:
+            _lower_front(front, slab)
+            slab = []
+            x = v >> s2
+            low = top + 1
+        z = v & mask
+        if z < low:
+            low = z
+            y = (v >> s) & mask
+            if z < front[y]:
+                kept.append((x, y, z))
+                slab.append((y, z))
+    return tuple(kept)
+
+
+def _lower_front(front: list[int], slab: list[tuple[int, int]]) -> None:
+    """Fold one slab's kept (y, z), y rising and z falling, into front.
+
+    front stays non-increasing, so each stretch [y, next y) is lowered
+    from its left end until it meets an entry already at or below z.
+    """
+    ends = [y for y, _ in slab[1:]] + [len(front)]
+    for (y, z), end in zip(slab, ends):
+        while y < end and front[y] > z:
+            front[y] = z
+            y += 1
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generator antichain.
@@ -118,12 +177,12 @@ class MonomialIdeal:
         if self.dim == 2:
             return MonomialIdeal(2, _staircase_product(self.gens, other.gens))
         if self.dim == 3:
-            # unpacked sums build the set several times faster than map(add)
-            prods = {
-                (a + x, b + y, c + z) for a, b, c in self.gens for x, y, z in other.gens
-            }
-        else:
-            prods = {tuple(map(add, g, h)) for g in self.gens for h in other.gens}
+            top = max(map(max, self.gens)) + max(map(max, other.gens))
+            # the sweep's dense front has top + 1 slots: past the pair
+            # count (a few far generators), the generic path costs less
+            if top <= len(self.gens) * len(other.gens):
+                return MonomialIdeal(3, _packed_product(self.gens, other.gens, top))
+        prods = {tuple(map(add, g, h)) for g in self.gens for h in other.gens}
         return MonomialIdeal(self.dim, _minimal(sorted(prods), self.dim))
 
     def power(self, k: int) -> "MonomialIdeal":

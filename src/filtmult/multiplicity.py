@@ -1,14 +1,19 @@
 """Growth of colengths along filtration products.
 
-Direct ladders estimate the normalized limit of ell(R/product)/m^d;
-certified periods turn truncated filtrations into exact covolume
-computations.  The exact growth at n is the covolume of the Minkowski sum
-sum_j n_j*NP(I_j) of the level-s Newton polyhedra, since NP(IJ) =
-NP(I) + NP(J) and NP(I^k) = k*NP(I); it is computed from sums of their
-vertices, never from a product ideal.  Sampling the growth function on a
-unisolvent grid and solving the exact Vandermonde system extracts mixed
-multiplicities; the positivity report checks the sign and vanishing
-structure those coefficients must satisfy.  Multiplicities and mixed
+Direct ladders estimate the normalized limit of ell(R/product)/m^d from
+the tail of a ladder of rungs m; certified periods turn truncated
+filtrations into exact covolume computations.  The exact growth at n is
+the covolume of the Minkowski sum sum_j n_j*NP(I_j) of the level-s Newton
+polyhedra, since NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I); it is
+computed from sums of their vertices, never from a product ideal.
+Sampling the growth function on a unisolvent grid and solving the exact
+Vandermonde system extracts mixed multiplicities.  Both fits are linear in
+the sampled values, with weights fixed by the sample points alone: the
+ladder limit is a weighted sum of the tail, and the grid fit a product
+with the inverse evaluation matrix.  Those weights are found once per
+point set, in bounded caches, so each fit is a dot product in exact
+Fractions.  The positivity report checks the sign and vanishing structure
+those coefficients must satisfy.  Multiplicities and mixed
 multiplicities, of a filtration list or of a weighted component model,
 all come from one weighted growth pipeline.
 """
@@ -16,8 +21,10 @@ all come from one weighted growth pipeline.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,15 +121,12 @@ def limit_estimate(seq, order: int = 2) -> LimitEstimate:
     if len(terms) < need:
         raise ValueError(f"at least {need} ladder terms required")
     tail = terms[-need:]
-    xs = [Fraction(1, m) for m, _ in tail]
-    ys = [v for _, v in tail]
+    weights = _limit_weights(tuple(m for m, _ in tail), order)
+    c0 = sum((w * v for w, (_, v) in zip(weights, tail)), Fraction(0))
     ms = ", ".join(str(m) for m, _ in tail)
     if order == 2:
-        c0, _c1 = linalg.fit_affine(xs, ys)
         note = f"fit c0 + c1/m over m in {{{ms}}}; no certified rate"
     else:
-        rows = [[u**j for j in range(order)] for u in xs]
-        c0 = linalg.solve_linear(rows, ys)[0]
         note = f"interpolated through m in {{{ms}}} at order {order}; no certified rate"
     return LimitEstimate(
         value=c0,
@@ -131,6 +135,29 @@ def limit_estimate(seq, order: int = 2) -> LimitEstimate:
         error_note=note,
         tail=tuple(tail),
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _limit_weights(ms: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
+    """Weights w with c0 = sum_k w_k*y_k for limit_estimate on the rungs ms.
+
+    c0 is linear in the sampled values, with weights fixed by the rungs
+    alone (x_k = 1/m_k), so they are found once per rung tuple.  The affine
+    least-squares fit of order 2 has the closed form
+    w_k = (sum x^2 - x_k*sum x)/(n*sum x^2 - (sum x)^2); interpolation at
+    order k >= 3 takes w from one solve of A^T w = e_0, for A the
+    Vandermonde matrix [x_k^j], since c0 = e_0 . A^-1 y = (A^-T e_0) . y.
+    """
+    xs = [Fraction(1, m) for m in ms]
+    if order == 2:
+        sx = sum(xs, Fraction(0))
+        sxx = sum((x * x for x in xs), Fraction(0))
+        denom = len(xs) * sxx - sx * sx
+        if denom == 0:
+            raise ValueError("degenerate abscissae")
+        return tuple((sxx - x * sx) / denom for x in xs)
+    cols = [[u**j for u in xs] for j in range(order)]
+    return tuple(linalg.solve_linear(cols, [1] + [0] * (order - 1)))
 
 
 def exact_growth(fs, n, s: int) -> Fraction:
@@ -192,12 +219,22 @@ def fit_homogeneous(points, values, d: int, r: int) -> dict[tuple[int, ...], Fra
     """Exact coefficients of the degree-d homogeneous polynomial matching
     the given values at the given points."""
     tvs = type_vectors(d, r)
-    pts = list(points)
-    if len(pts) != len(tvs):
-        raise ValueError("point count must match coefficient count")
-    rows = [[Fraction(math.prod(p[i] ** t[i] for i in range(r))) for t in tvs] for p in pts]
-    sol = linalg.solve_linear(rows, [Fraction(v) for v in values])
-    return dict(zip(tvs, sol))
+    pts = tuple(map(tuple, points))
+    ys = [Fraction(v) for v in values]
+    if len(pts) != len(tvs) or len(ys) != len(tvs):
+        raise ValueError("point and value counts must match coefficient count")
+    inv = _fit_inverse(pts, d, r)
+    return {t: sum(map(operator.mul, row, ys), Fraction(0)) for t, row in zip(tvs, inv)}
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_inverse(points, d: int, r: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the evaluation matrix of the type-vector monomials at
+    points, found once per point set: each fit on it is then one
+    matrix-vector product."""
+    tvs = type_vectors(d, r)
+    rows = [[math.prod(p[i] ** t[i] for i in range(r)) for t in tvs] for p in points]
+    return tuple(map(tuple, linalg.inverse(rows)))
 
 
 def _factorial_product(t) -> int:

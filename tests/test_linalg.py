@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,35 @@ class TestSolveLinear:
         rows = [[u ** j for j in range(3)] for u in xs]
         c = linalg.solve_linear(rows, [poly(u) for u in xs])
         assert c == [F(1, 2), F(3), F(-5)]
+
+
+class TestInverse:
+    def test_product_is_identity(self):
+        rng = random.Random(11)
+        for n in range(1, 7):
+            while True:
+                a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+                if linalg.int_det(a):
+                    break
+            inv = linalg.inverse(a)
+            for i in range(n):
+                for j in range(n):
+                    assert sum(a[i][k] * inv[k][j] for k in range(n)) == (i == j)
+
+    def test_columns_solve_the_unit_systems(self):
+        a = [[F(1, 2), 3, 0], [1, F(-2, 7), 4], [0, 5, F(1, 3)]]
+        inv = linalg.inverse(a)
+        for j in range(3):
+            e = [F(int(i == j)) for i in range(3)]
+            assert [row[j] for row in inv] == linalg.solve_linear(a, e)
+
+    def test_singular_raises(self):
+        with pytest.raises(ValueError):
+            linalg.inverse([[1, 2], [2, 4]])
+
+    def test_not_square_raises(self):
+        with pytest.raises(ValueError):
+            linalg.inverse([[1, 2, 3], [4, 5, 6]])
 
 
 class TestRankAndDet:

@@ -161,6 +161,111 @@ class TestProductKernels:
                 )
 
 
+def naive_product(I, J):
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens]
+    return naive_minimalize(sums, I.dim)
+
+
+def packed_path(I, J):
+    """Whether I * J runs the packed sweep: its front fits in the pair count."""
+    top = max(map(max, I.gens)) + max(map(max, J.gens))
+    return top <= len(I.gens) * len(J.gens)
+
+
+def jittered_slice(rng, k):
+    """The degree-k exponents in three variables, z raised by up to 2 at random."""
+    return ideal(3, [(a, b, k - a - b + rng.randint(0, 2))
+                     for a in range(k + 1) for b in range(k + 1 - a)])
+
+
+class TestSpaceProduct:
+    """The packed dimension-3 product against the naive filter of all pairwise sums."""
+
+    def test_small_non_primary_factors(self):
+        # many small factors, most without a pure power on some axis: the
+        # sums that reach the top of y in a later slab are rare, so it takes
+        # hundreds of draws to meet them
+        rng = random.Random(5)
+        paths = {True: 0, False: 0}
+        non_primary = 0
+        for _ in range(1000):
+            cap = rng.randint(1, 3)
+            I, J = (
+                ideal(3, [tuple(rng.randint(0, cap) for _ in range(3))
+                          for _ in range(rng.randint(2, 6))])
+                for _ in range(2)
+            )
+            paths[packed_path(I, J)] += 1
+            non_primary += not I.is_primary()
+            assert (I * J).gens == naive_product(I, J)
+        assert min(paths.values()) > 100 and non_primary > 500
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("top", ["2^k - 1", "2^k"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_sums_at_the_bit_width_edge(self, k, top, axis):
+        # s = top.bit_length() bits per coordinate: 2^k - 1 fills k bits
+        # exactly, and 2^k is the first sum that needs k + 1
+        top = 2**k - (top == "2^k - 1")
+        rng = random.Random(k * 10 + axis)
+        factors = []
+        for cap in (top - top // 2, top // 2):
+            pure = tuple(cap * (i == axis) for i in range(3))
+            # every other generator is off the axis, so none divides the
+            # pure power, and cap stays the factor's largest exponent
+            others = [tuple(rng.randint(0, cap) for _ in range(3)) for _ in range(40)]
+            others = [p for p in others if any(c for i, c in enumerate(p) if i != axis)]
+            factors.append(ideal(3, [pure] + others))
+        I, J = factors
+        assert max(map(max, I.gens)) + max(map(max, J.gens)) == top
+        assert packed_path(I, J)
+        prod = (I * J).gens
+        assert prod == naive_product(I, J)
+        assert tuple(top * (i == axis) for i in range(3)) in prod
+
+    def test_exponents_near_a_thousand(self):
+        # two 55-generator staircases at x + y = 2004, one extra generator
+        # each: 12 bits a coordinate, and sums blocked by an earlier slab
+        rng = random.Random(7)
+        I, J = (
+            ideal(3, [(975 + i, 1029 - i, rng.choice(zs)) for i in range(55)] + [extra])
+            for zs, extra in (((1000, 1003), (1000, 1000, 990)), ((1000, 1004), (1010, 1010, 995)))
+        )
+        assert packed_path(I, J)
+        assert (I * J).gens == naive_product(I, J)
+
+    def test_far_generators_take_the_generic_path(self):
+        big = 2**40
+        I = ideal(3, [(big, 0, 0), (0, big + 1, 0), (0, 0, 1), (3, 3, 0)])
+        J = ideal(3, [(1, 0, 0), (0, big, 0), (0, 0, big - 1)])
+        assert not packed_path(I, J)
+        assert (I * J).gens == naive_product(I, J)
+
+    def test_principal_factor_shifts_every_generator(self, rng):
+        I = jittered_slice(rng, 6)
+        J = ideal(3, [(1, 2, 3)])
+        assert packed_path(I, J)
+        assert (I * J).gens == tuple(tuple(a + b for a, b in zip(g, (1, 2, 3))) for g in I.gens)
+        assert (J * I) == (I * J) and (I * J).gens == naive_product(I, J)
+
+    def test_unequal_generator_counts(self, rng):
+        for k in range(4, 9):
+            I = random_primary_ideal(rng, 3, 2)
+            J = jittered_slice(rng, k)
+            assert len(J.gens) > 3 * len(I.gens)
+            assert packed_path(I, J)
+            assert (I * J).gens == naive_product(I, J)
+            assert (J * I).gens == naive_product(I, J)
+
+    def test_unit_and_zero_shortcuts(self, rng):
+        I = random_primary_ideal(rng, 3, 4)
+        zero = MonomialIdeal(3, ())
+        assert I * unit_ideal(3) is I
+        assert unit_ideal(3) * I is I
+        assert (I * zero).gens == () and (zero * I).gens == ()
+        assert (zero * unit_ideal(3)).gens == ()
+
+
 class TestArithmetic:
     def test_product_example(self):
         m = maximal_ideal(2)

@@ -1,11 +1,13 @@
 """Growth limits, mixed multiplicities, truncation ladders, positivity."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from filtmult import filtration as ft
+from filtmult import linalg
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 
@@ -81,6 +83,79 @@ class TestLimitEstimate:
         seq = [(m, F(1)) for m in (2, 4, 8)]
         with pytest.raises(ValueError):
             mu.limit_estimate(seq, order=1)
+
+
+class TestCachedFits:
+    """The fits read weights found once per point set; each must give exactly
+    the Fractions of a direct solve on its own values."""
+
+    LADDERS = ((8, 16, 32, 64, 128), (6, 8, 10, 12, 14), (3, 5, 7, 11, 13), (2, 4, 8, 16, 32))
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_limit_matches_direct_solve(self, order):
+        rng = random.Random(order)
+        for _ in range(3):
+            values = [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(5)]
+            for ladder in self.LADDERS:  # the same values on every ladder
+                seq = list(zip(ladder, values))
+                tail = seq[-3:] if order == 2 else seq[-order:]
+                xs = [F(1, m) for m, _ in tail]
+                ys = [v for _, v in tail]
+                if order == 2:
+                    want = linalg.fit_affine(xs, ys)[0]
+                else:
+                    rows = [[u**j for j in range(order)] for u in xs]
+                    want = linalg.solve_linear(rows, ys)[0]
+                got = mu.limit_estimate(seq, order).value
+                assert got == want
+                assert type(got) is F
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_fit_matches_direct_solve(self, d, r):
+        grid = mu.sample_grid(d, r)
+        tvs = mu.type_vectors(d, r)
+        rows = [[math.prod(p[i] ** t[i] for i in range(r)) for t in tvs] for p in grid]
+        rng = random.Random(10 * d + r)
+        for _ in range(3):
+            values = [F(rng.randint(-99, 99), rng.randint(1, 20)) for _ in grid]
+            want = dict(zip(tvs, linalg.solve_linear(rows, values)))
+            assert mu.fit_homogeneous(grid, values, d, r) == want
+
+    def test_warm_fits_solve_nothing(self, monkeypatch):
+        grid = mu.sample_grid(3, 2)
+        seq = [(m, F(7) - F(2, m)) for m in (6, 8, 10, 12)]
+        mu.fit_homogeneous(grid, [1, 2, 3, 4], 3, 2)
+        mu.limit_estimate(seq, 4)
+        mu.limit_estimate(seq, 2)
+
+        def refuse(*args):
+            raise AssertionError("a warm fit solved a system")
+
+        monkeypatch.setattr(linalg, "solve_linear", refuse)
+        monkeypatch.setattr(linalg, "inverse", refuse)
+        values = [F(5), F(-1, 3), F(2), F(9, 7)]
+        got = mu.fit_homogeneous(grid, values, 3, 2)
+        for p, v in zip(grid, values):
+            assert sum(c * p[0] ** t[0] * p[1] ** t[1] for t, c in got.items()) == v
+        assert mu.limit_estimate(seq, 4).value == F(7)
+        assert mu.limit_estimate(seq, 2).value == F(7)
+
+    def test_singular_point_sets_raise(self):
+        # twice each: a failed solve leaves nothing cached
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                mu.fit_homogeneous([(1, 1), (2, 2), (1, 3)], [1, 2, 3], 2, 2)
+            with pytest.raises(ValueError):
+                mu.fit_homogeneous([(1, 3), (2, 2), (1, 3)], [1, 2, 3], 2, 2)
+            with pytest.raises(ValueError):
+                mu.limit_estimate([(4, F(1)), (4, F(2)), (8, F(3))], order=3)
+            with pytest.raises(ValueError):
+                mu.limit_estimate([(4, F(1)), (4, F(2)), (4, F(3))], order=2)
+
+    def test_value_count_checked(self):
+        with pytest.raises(ValueError):
+            mu.fit_homogeneous(mu.sample_grid(2, 2), [F(1), F(2)], 2, 2)
 
 
 class TestExactGrowth:
