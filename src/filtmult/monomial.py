@@ -207,12 +207,12 @@ class MonomialIdeal:
 
         Equivalent to the quotient ring having finite length.
         """
-        if not self.gens:
-            return False
-        for i in range(self.dim):
-            if not any(all(c == 0 for j, c in enumerate(g) if j != i) for g in self.gens):
-                return False
-        return True
+        if self.is_unit():
+            return True
+        # A pure power has dim - 1 zeros; its largest entry marks its axis.
+        zeros = self.dim - 1
+        axes = {g.index(max(g)) for g in self.gens if g.count(0) == zeros}
+        return len(axes) == self.dim
 
     def colength(self) -> int:
         """Number of monomials outside the ideal, exact.
@@ -294,11 +294,11 @@ def maximal_ideal(dim: int) -> MonomialIdeal:
 
 def _pure_power(gens: Sequence[Exponent], axis: int) -> int:
     """Exponent of the minimal generator supported on the given axis alone."""
-    best = None
-    for g in gens:
-        if all(c == 0 for j, c in enumerate(g) if j != axis):
-            if best is None or g[axis] < best:
-                best = g[axis]
+    # zero off the axis: len(g) - 1 zeros and g[axis] != 0, or all zeros
+    best = min(
+        (g[axis] for g in gens if g.count(0) + (g[axis] != 0) == len(g)),
+        default=None,
+    )
     if best is None:
         raise ValueError("no pure power on axis; ideal is not primary")
     return best

@@ -6,8 +6,9 @@ semigroup membership reduces to monomial-ideal membership; no irrational
 arithmetic ever happens.  Each level is kept as its product ideal, in
 every dimension, and a body is the exact hull of the generators under
 the degree cap and their ray points (see ValueSemigroup.quotient_points).
-Those quotient points a/i are kept as the integer points a*(L/i) over
-L = lcm(1..cutoff), and the hull runs on them as they are.
+The hull runs on integers a*(L/i) over L = lcm(1..cutoff), and only on
+the feet that span the same orthant hull as all feet, with their ray
+points toward the common cap bound*L (see body).
 """
 
 from __future__ import annotations
@@ -94,15 +95,9 @@ class ValueSemigroup:
         those are themselves points of the level: above g, of degree at
         most cap.  Dividing by i is linear, so the same holds after scaling.
 
-        This is the Fraction view of the integer points the body's hull
-        runs on: a*(L/i) over L = lcm(1..cutoff) (see _integer_points).
+        `body` hulls only the extreme feet and their ray points; this full
+        list is what the tests compare it against.
         """
-        den, pts = self._integer_points()
-        return [tuple(Fraction(c, den) for c in p) for p in sorted(pts)]
-
-    def _integer_points(self) -> tuple[int, set[tuple[int, ...]]]:
-        """(L, points): the quotient points times L = lcm(1..cutoff), as
-        a set of int tuples; level i is scaled by L // i."""
         den = lcm(*range(1, self.cutoff + 1))
         pts: set[tuple[int, ...]] = set()
         for i in range(1, self.cutoff + 1):
@@ -115,7 +110,7 @@ class ValueSemigroup:
                 if slack:
                     for k in range(self.dim):
                         pts.add(foot[:k] + (foot[k] + slack,) + foot[k + 1 :])
-        return den, pts
+        return [tuple(Fraction(c, den) for c in p) for p in sorted(pts)]
 
 
 def value_semigroup(fs, sigma, bound: int, cutoff: int) -> ValueSemigroup:
@@ -155,9 +150,48 @@ class OkounkovBody:
 
 def body(sem: ValueSemigroup) -> OkounkovBody:
     """The exact hull of the semigroup's quotient points; empty when no
-    level has a foot."""
-    den, pts = sem._integer_points()
-    hull = polytope._hull_ints(sem.dim, den, pts)
+    level has a foot.
+
+    The hull runs on integers over L = lcm(1..cutoff).  Level i is scaled
+    by L/i: its feet g become the points f = g*(L/i) of a set F, each with
+    |f| <= C = bound*L, and their ray points become f + (C - |f|)*e_k.
+    Nearly all of those are interior, and the hull needs only a few feet:
+
+    Lemma.  conv(F and rays(F)) = (conv F + R^d_>=0) cut by |x| <= C,
+    where rays(F) holds f + (C - |f|)*e_k for f in F and every axis k.
+    Proof.  Each point of F and rays(F) lies in the right side.  Conversely
+    take p = q + c with q = sum lambda_f*f a convex combination, c >= 0
+    and |p| <= C, and let s = C - |q| >= |c|.  If s = 0 then p = q.
+    Otherwise p = (1 - |c|/s)*q + sum_k (c_k/s)*(q + s*e_k), and
+    q + s*e_k = sum lambda_f*(f + (C - |f|)*e_k) since
+    s = sum lambda_f*(C - |f|).
+
+    So any E inside F with conv E + R^d_>=0 = conv F + R^d_>=0 gives the
+    same hull from E and rays(E), and a polytope's vertices are unique.
+    Dimensions 1 and 2 take E to be the vertices of that polyhedron, which
+    polytope.orthant_extremes finds with sweeps.  Dimensions 3 and 4 take
+    the feet above no other foot (polytope._minimal): orthant_extremes
+    runs a facet hull of its own there, which costs more than it saves.
+    """
+    d = sem.dim
+    den = lcm(*range(1, sem.cutoff + 1))
+    feet = {
+        tuple([c * (den // i) for c in g])
+        for i in range(1, sem.cutoff + 1)
+        for g in sem._feet(i)
+    }
+    if d <= 2:
+        ext = polytope.orthant_extremes(feet)
+    else:
+        ext = polytope._minimal(sorted(feet), d)
+    cap = sem.bound * den
+    pts = set(ext)
+    for f in ext:
+        slack = cap - sum(f)
+        if slack:
+            for k in range(d):
+                pts.add(f[:k] + (f[k] + slack,) + f[k + 1 :])
+    hull = polytope._hull_ints(d, den, pts)
     return OkounkovBody(hull, sem.sigma, sem.bound, sem.cutoff)
 
 

@@ -15,8 +15,9 @@ on first use, for all its volume and containment queries.
 Every hull enters through one integer entry (_hull_ints): distinct
 integer points over one common denominator.  `hull` scales its rational
 input to it; `minkowski_sum` adds the two vertex sets as integers over
-one denominator; okounkov hands it a body's quotient points as integers
-over lcm(1..cutoff), so no point of a large input is ever a Fraction.
+one denominator; okounkov hands it a body's extreme feet and their ray
+points as integers over lcm(1..cutoff), so no point of a large input is
+ever a Fraction.
 
 The module also computes `orthant_covolume`: the volume of the region of
 the positive orthant lying under the Newton polyhedron spanned by a set of

@@ -40,6 +40,23 @@ def brute_colength(gens, dim):
     return count
 
 
+def naive_is_primary(gens, dim):
+    """A pure power of every variable among gens: one scan per axis."""
+    if not gens:
+        return False
+    return all(
+        any(all(c == 0 for j, c in enumerate(g) if j != i) for g in gens)
+        for i in range(dim)
+    )
+
+
+def naive_pure_power(gens, axis):
+    """Least exponent among the generators supported on the axis alone."""
+    return min(
+        g[axis] for g in gens if all(c == 0 for j, c in enumerate(g) if j != axis)
+    )
+
+
 def naive_minimalize(pts, dim):
     pts = set(map(tuple, pts))
     kept = []

@@ -17,6 +17,7 @@ from filtmult import linalg as la
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 from filtmult import okounkov as ok
+from filtmult import polytope as pt
 
 from conftest import brute_colength, brute_volume, lp_hull_vertices, random_primary_ideal
 
@@ -359,3 +360,15 @@ def test_12_large_newton_polyhedra_share_the_antichain_kernel():
         print(f"{len(I24.gens)} and {len(J10.gens)} generators")
         assert I24.covolume() == 24**3 * I.covolume()
         assert J10.covolume() == 10**4 * J.covolume()
+
+
+def test_13_deep_plane_bodies_hull_their_extreme_feet():
+    # At cutoff 384 the two bodies have about 74,000 feet each; the hull
+    # runs on the few extreme ones and their ray points only.
+    fs = [maximal_adic(), parabola_adic()]
+    sems = [ok.value_semigroup([f], (1,), ok.degree_bound([f], (1,)), 384) for f in fs]
+    with budget(1.0):
+        bodies = [ok.body(sem) for sem in sems]
+    for sem, b in zip(sems, bodies):
+        print(f"{len(b.body.vertices)} vertices, volume {b.volume()}")
+        assert b.body.vertices == pt.hull(2, sem.quotient_points()).vertices

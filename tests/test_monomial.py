@@ -9,6 +9,7 @@ import pytest
 from filtmult import polytope
 from filtmult.monomial import (
     MonomialIdeal,
+    _pure_power,
     ideal,
     maximal_ideal,
     minimalize,
@@ -16,7 +17,13 @@ from filtmult.monomial import (
 )
 from filtmult.multiplicity import limit_estimate
 
-from conftest import brute_colength, naive_minimalize, random_primary_ideal
+from conftest import (
+    brute_colength,
+    naive_is_primary,
+    naive_minimalize,
+    naive_pure_power,
+    random_primary_ideal,
+)
 
 
 class TestConstruction:
@@ -342,6 +349,31 @@ class TestPrimary:
     def test_pure_powers_required_per_axis(self):
         assert ideal(2, [(2, 0), (1, 1), (0, 3)]).is_primary()
         assert not ideal(2, [(2, 0), (1, 1)]).is_primary()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matches_per_axis_scan(self, dim):
+        rng = random.Random(dim)
+        seen = {True: 0, False: 0}
+        ideals = [unit_ideal(dim), maximal_ideal(dim)]
+        for _ in range(300):
+            # each axis gets a pure power with probability 3/4
+            gens = [
+                tuple(rng.randint(1, 4) if j == ax else 0 for j in range(dim))
+                for ax in range(dim)
+                if rng.random() < 0.75
+            ]
+            gens += [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+            ideals.append(ideal(dim, gens))
+        for I in ideals:
+            want = naive_is_primary(I.gens, dim)
+            assert I.is_primary() == want
+            seen[want] += 1
+            if want:
+                for ax in range(dim):
+                    assert _pure_power(I.gens, ax) == naive_pure_power(I.gens, ax)
+        assert unit_ideal(dim).is_primary()
+        if dim > 1:  # every nonzero ideal of one variable is primary
+            assert min(seen.values()) > 50
 
 
 class TestColength:

@@ -297,6 +297,47 @@ class TestBodyOracle:
                 assert least == smallest
 
 
+def with_rays(points, cap, dim):
+    """The points and, for each, its ray points p + (cap - |p|)*e_k."""
+    out = set(points)
+    for p in points:
+        for k in range(dim):
+            out.add(p[:k] + (p[k] + cap - sum(p),) + p[k + 1 :])
+    return out
+
+
+class TestExtremeFeet:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_extreme_feet_and_their_rays_span_the_hull(self, dim):
+        # conv(F and rays(F)) = (conv F + orthant) cut by |x| <= cap, so any
+        # E with the same orthant hull as F gives the same polytope
+        rng = random.Random(dim)
+        for _ in range(40):
+            feet = {
+                tuple(rng.randint(0, 6) for _ in range(dim))
+                for _ in range(rng.randint(1, 12))
+            }
+            cap = max(map(sum, feet)) + rng.randint(0, 3)
+            want = pt.hull(dim, with_rays(feet, cap, dim)).vertices
+            for ext in (pt.orthant_extremes(feet), pt._minimal(sorted(feet), dim)):
+                assert pt.hull(dim, with_rays(ext, cap, dim)).vertices == want
+
+    @pytest.mark.parametrize("cutoff", [96, 192])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            maximal_adic(),
+            parabola_adic(),
+            ft.rounded_valuation((1,), ft.root_scale(5)),
+            line_plus_powers(),
+        ],
+        ids=["maximal", "parabola", "surd", "line"],
+    )
+    def test_deep_body_is_hull_of_every_quotient_point(self, f, cutoff):
+        sem = ok.value_semigroup([f], (1,), ok.degree_bound([f], (1,)), cutoff)
+        assert ok.body(sem).body.vertices == pt.hull(f.dim, sem.quotient_points()).vertices
+
+
 class TestVolumeIdentity:
     def test_exact_for_noetherian_examples(self):
         for f in (maximal_adic(), parabola_adic()):
