@@ -23,7 +23,6 @@ covolume) are delegated to the polytope kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
@@ -230,15 +229,8 @@ class MonomialIdeal:
         the recession cone (the positive orthant) is implicit.
         """
         self._check_geometry_dim()
-        ext = (tuple(map(Fraction, v)) for v in self._extremes)
-        return polytope.RationalPolytope(self.dim, tuple(sorted(ext)))
-
-    @cached_property
-    def _extremes(self) -> tuple[Exponent, ...]:
-        """Generators at the vertices of the Newton polyhedron, found once
-        per ideal: filtrations memoize their levels, so exact growth reuses
-        them at every grid point."""
-        return tuple(polytope.orthant_extremes(self.gens))
+        ext = polytope.orthant_extremes(self.gens)
+        return polytope.RationalPolytope(self.dim, tuple(tuple(map(Fraction, v)) for v in ext))
 
     def covolume(self) -> Fraction:
         """Volume of the orthant complement of the Newton polyhedron, exact.

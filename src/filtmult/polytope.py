@@ -22,15 +22,17 @@ ever a Fraction.
 The module also computes `orthant_covolume`: the volume of the region of
 the positive orthant lying under the Newton polyhedron spanned by a set of
 integer exponents.  That region is star-shaped with respect to the origin,
-so its volume is the sum of pyramids over the bounded facets (the facets
-whose inner normal is strictly positive).  It and orthant_extremes first
-drop every exponent lying above another one with the package's one
-antichain kernel (_minimal), which sweeps sorted points in dimensions 1
-to 3 and tests dominance with bitsets from 4 on; monomial imports the
-same kernel to keep minimal generators.  In dimension 3 and 4 the bounded
-facets and the vertices of the polyhedron are read off one facet hull of
-the kept exponents and far points along each axis (_orthant_facets);
-dimension 2 sweeps the staircase instead (see orthant_extremes).
+so its volume is the sum of the cones from the origin over the simplices
+that triangulate the bounded faces (_bounded_simplices).  Those and
+orthant_extremes first drop every exponent lying above another one with
+the package's one antichain kernel (_minimal), which sweeps sorted points
+in dimensions 1 to 3 and tests dominance with bitsets from 4 on; monomial
+imports the same kernel to keep minimal generators.  Dimensions 1 and 2
+take the simplices from the staircase sweep of orthant_extremes (its
+point, or its segments); dimensions 3 and 4 read them, and the vertices,
+off one facet hull of the kept exponents and far points along each axis
+(_orthant_facets).  The exact growth in multiplicity reads the same
+simplices once per growth form and maps them to every grid point.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .linalg import int_det
 RationalPoint = tuple[Fraction, ...]
 
 DIM_CAP = 4
+
+_RATIONAL = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,13 @@ def hull(dim: int, points: Iterable[Sequence]) -> RationalPolytope:
     """Convex hull: the polytope on the extreme points of the input set."""
     if dim < 1 or dim > DIM_CAP:
         raise ValueError(f"dimension must be between 1 and {DIM_CAP}")
-    pts = list(points)
+    # ints and Fractions carry their own numerator and denominator, so only
+    # other coordinates (floats, strings) are converted, and each only once.
+    pts = [tuple(c if type(c) in _RATIONAL else Fraction(c) for c in p) for p in points]
     if any(len(p) != dim for p in pts):
         raise ValueError("point length does not match dimension")
-    # Straight to distinct integer points: no Fraction copy of a large input.
-    den = lcm(*(Fraction(c).denominator for p in pts for c in p))
-    ints = {tuple(q.numerator * (den // q.denominator) for q in map(Fraction, p)) for p in pts}
+    den = lcm(*(c.denominator for p in pts for c in p))
+    ints = {tuple(c.numerator * (den // c.denominator) for c in p) for p in pts}
     return _hull_ints(dim, den, ints)
 
 
@@ -480,25 +485,32 @@ def _orthant_facets(pts: Sequence[tuple]) -> tuple[int, list[tuple]]:
     return den, _facets(ints, [0] + [n + k for k in range(d)])
 
 
+def _bounded_simplices(points: Iterable[Sequence], dim: int) -> list[tuple[tuple, ...]]:
+    """Simplices of d input points that triangulate the bounded faces of
+    conv(points) + positive orthant.
+
+    Dimension 1: the chain of orthant_extremes, its one point; dimension 2:
+    its segments.  Dimensions 3 and 4: the facets of _orthant_facets with a
+    strictly positive inner normal, which are the bounded facets of the
+    polyhedron and hold no far point.
+    """
+    if dim <= 2:
+        chain = orthant_extremes(points)
+        return [(p,) for p in chain] if dim == 1 else list(zip(chain, chain[1:]))
+    kept = _minimal(sorted({tuple(p) for p in points}), dim)
+    _, facets = _orthant_facets(kept)
+    return [tuple(kept[i] for i in idx) for normal, _, idx in facets if all(x > 0 for x in normal)]
+
+
 def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
     """Volume between the positive orthant boundary and the Newton polyhedron.
 
     gens must contain a pure power of every coordinate axis so that the
-    region is bounded.  Exact; integer arithmetic throughout except the
-    final division.
+    region is bounded.  The region is the union of the cones from the
+    origin over the bounded simplices (_bounded_simplices), so it is the
+    sum of their unsigned determinants over d!.  Exact; integer arithmetic
+    throughout except the final division.
     """
-    if dim <= 2:
-        # Unsigned cones from the origin over the bounded faces of the
-        # staircase: its one point in dimension 1, its segments in 2.
-        ext = orthant_extremes(gens)
-        if dim == 1:
-            return abs(Fraction(ext[0][0]))
-        total = Fraction(0)
-        for a, b in zip(ext, ext[1:]):
-            total += abs(a[0] * b[1] - b[0] * a[1])
-        return Fraction(total, 2)
-    den, facets = _orthant_facets(_minimal(sorted({tuple(g) for g in gens}), dim))
-    # The cone from the origin over a facet has determinant offset, as in
-    # volume; a positive normal makes the offset nonnegative.
-    total = sum(offset for normal, offset, _ in facets if all(x > 0 for x in normal))
+    den, ints = _scaled({tuple(g) for g in gens})
+    total = sum(abs(int_det(s)) for s in _bounded_simplices(ints, dim))
     return Fraction(total, factorial(dim) * den**dim)

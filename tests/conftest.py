@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from filtmult import filtration as ft
+from filtmult import polytope
 from filtmult.monomial import ideal
 
 
@@ -408,3 +409,28 @@ def brute_orthant_covolume(gens, dim):
         for s in _triangulate_facet([ext[i] for i in idxs], normal, dim):
             total += abs(det([list(p) for p in s]))
     return total / math.factorial(dim)
+
+
+# -- growth oracles -----------------------------------------------------------
+
+
+def vertex_sum_growth(fs, n, s):
+    """Exact growth at n from sums of one vertex per level Newton polyhedron.
+
+    The vertices of sum_j n_j*NP(I_j) lie among the sums sum_j n_j*v_j of
+    one vertex v_j of each level-s NP(I_j), so the orthant covolume of
+    those sums, over s^d, is the growth.  The running sums are cut to
+    their orthant extremes from the third factor on.  One hull of fresh
+    sums per call, independent of the growth forms of multiplicity.
+    """
+    d = fs[0].dim
+    levels = [(f.ideal_at(s), nj) for f, nj in zip(fs, n) if nj]
+    if all(level.is_unit() for level, _ in levels):
+        return Fraction(0)
+    sums = [(0,) * d]
+    for k, (level, nj) in enumerate(levels):
+        if k >= 2:
+            sums = polytope.orthant_extremes(sums)
+        verts = polytope.orthant_extremes(level.gens)
+        sums = [tuple(a + nj * b for a, b in zip(u, v)) for u in sums for v in verts]
+    return polytope.orthant_covolume(sums, d) / s**d

@@ -302,8 +302,8 @@ def test_9_dimension_four_exact_multiplicity():
 
 
 def test_10_exact_mixed_multiplicities_from_minkowski_sums():
-    # The exact backend adds vertices of the level Newton polyhedra instead
-    # of multiplying ideal powers out; both values are exact.
+    # The exact backend reads every grid point off one facet hull per
+    # support instead of multiplying ideal powers out; both values are exact.
     with budget(3.0):
         I = mo.ideal(3, [(3, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
         J = mo.ideal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
@@ -372,3 +372,24 @@ def test_13_deep_plane_bodies_hull_their_extreme_feet():
     for sem, b in zip(sems, bodies):
         print(f"{len(b.body.vertices)} vertices, volume {b.volume()}")
         assert b.body.vertices == pt.hull(2, sem.quotient_points()).vertices
+
+
+def test_14_dim4_three_filtration_exact_report_from_one_hull_per_support():
+    # Every grid point of the 15-point dim-4 grid reads its growth off the
+    # one growth form of the full support; a facet hull per grid point took
+    # about 0.37 s for this report.
+    gens = [
+        [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 1)],
+        [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1), (0, 1, 1, 0)],
+        [(3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 4), (1, 0, 0, 1)],
+    ]
+    fs = [ft.adic(mo.ideal(4, g)) for g in gens]
+    with budget(0.1):
+        rep = mu.mixed_multiplicities(fs, mu.TRUNCATION_EXACT, trunc_level=1)
+    got = {t: e.value for t, e in rep.coeffs.items()}
+    print(f"dim-4 triple: {got}")
+    assert got == {
+        (4, 0, 0): 20, (3, 1, 0): 10, (3, 0, 1): 8, (2, 2, 0): 6, (2, 1, 1): 4,
+        (2, 0, 2): 4, (1, 3, 0): 4, (1, 2, 1): 2, (1, 1, 2): 2, (1, 0, 3): 4,
+        (0, 4, 0): 5, (0, 3, 1): 2, (0, 2, 2): 1, (0, 1, 3): 2, (0, 0, 4): 7,
+    }

@@ -1,5 +1,6 @@
 """Growth limits, mixed multiplicities, truncation ladders, positivity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from filtmult import linalg
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 
-from conftest import FILTRATION_KINDS, random_filtration
+from conftest import FILTRATION_KINDS, random_filtration, vertex_sum_growth
 
 
 def maximal_adic():
@@ -206,7 +207,7 @@ _LIGHT_CASES = [
 
 
 class TestMinkowskiGrowthOracle:
-    """exact_growth sums vertices of the level Newton polyhedra; the slow
+    """The exact backend reads each grid point off a growth form; the slow
     path multiplies the level ideals out.  Both must agree everywhere."""
 
     @pytest.mark.parametrize(
@@ -229,9 +230,121 @@ class TestMinkowskiGrowthOracle:
             for n in mu.sample_grid(d, len(keep)):
                 assert sub.growth(n).value == fresh.growth(n).value, (keep, n)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sub_pipeline_forms_never_answer_the_parent(self, d):
+        # Forms are keyed by (part, support positions).  restricted() copies
+        # the pipeline, so the sub-pipeline over filtrations (1, 2) computes
+        # first, under its own positions (0, 1); the parent must then still
+        # read its own filtrations at every support, unit vectors included,
+        # in every weighted part.
+        rng = random.Random(4100 + d)
+        kinds = rng.sample(FILTRATION_KINDS, 3)
+        amax = 2 if d < 3 else 1
+        parts = [
+            (w, [ft.truncate(random_filtration(rng, d, k), rng.randint(1, amax)) for k in kinds])
+            for w in (2, 3)
+        ]
+        pipe = mu._WeightedGrowth(parts, mu.TRUNCATION_EXACT)
+        sub = pipe.restricted([1, 2])
+        sub.mixed()
+        sub.multiplicities()
+
+        def want(n):
+            return sum(w * product_covolume_growth(fs, n, s) for w, fs, s in pipe.parts)
+
+        supports = [c for k in (1, 2, 3) for c in itertools.combinations(range(3), k)]
+        for support in supports:
+            n = tuple(j + 1 if j in support else 0 for j in range(3))
+            assert pipe.growth(n).value == want(n), n
+        for n in mu.sample_grid(d, 3):
+            assert pipe.growth(n).value == want(n), n
+        units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+        got = [e.value for e in pipe.multiplicities()]
+        assert got == [math.factorial(d) * want(n) for n in units]
+
     def test_zero_weights_give_zero(self):
         f = ft.truncate(maximal_adic(), 1)
         assert mu.exact_growth([f, f], (0, 0), 1) == 0
+
+
+def _grid_and_supports(rng, d, r):
+    """The sample grid plus six random weights in 0..3 with some entry > 0."""
+    ns = list(mu.sample_grid(d, r))
+    while len(ns) < len(mu.sample_grid(d, r)) + 6:
+        n = tuple(rng.randint(0, 3) for _ in range(r))
+        if any(n):
+            ns.append(n)
+    return ns
+
+
+class TestGrowthForm:
+    """One growth form per support against sums of level vertices (one
+    fresh hull per value) and, where small, product ideals."""
+
+    @pytest.mark.parametrize("d,r", [(d, r) for d in (1, 2, 3, 4) for r in (1, 2, 3)])
+    def test_random_filtrations_match_vertex_sums(self, d, r):
+        rng = random.Random(7100 + 10 * d + r)
+        for _ in range(6 if d <= 2 else 3):
+            kinds = [rng.choice(FILTRATION_KINDS) for _ in range(r)]
+            amax = 3 if d <= 2 else 2 if d == 3 else 1
+            fs = [ft.truncate(random_filtration(rng, d, k), rng.randint(1, amax)) for k in kinds]
+            pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT)
+            (_, _, s), = pipe.parts
+            for n in _grid_and_supports(rng, d, r):
+                want = vertex_sum_growth(fs, n, s)
+                assert pipe.growth(n).value == want, (kinds, n)
+                assert mu.exact_growth(fs, n, s) == want, (kinds, n)
+                if d <= 2:
+                    assert product_covolume_growth(fs, n, s) == want, (kinds, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_coplanar_powers_of_the_maximal_ideal(self, d):
+        # Every generator of m^a lies on one hyperplane, so the facet hull
+        # meets many coplanar points; covol(k*NP(m)) = k^d/d! in closed form.
+        m = mo.maximal_ideal(d)
+        for exps in ((6, 3), (3, 2), (2, 1, 1)):
+            fs = [ft.truncate(ft.adic(m.power(a)), 1) for a in exps]
+            pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT)
+            for n in _grid_and_supports(random.Random(d), d, len(exps)):
+                want = F(sum(a * nj for a, nj in zip(exps, n)) ** d, math.factorial(d))
+                assert pipe.growth(n).value == want, (exps, n)
+                assert vertex_sum_growth(fs, n, 1) == want, (exps, n)
+        # a product of two such ideals is one more power: m^3 * m^2 = m^5
+        prod = ft.truncate(ft.adic(m.power(3) * m.power(2)), 1)
+        assert mu.exact_growth([prod], (2,), 1) == F(10**d, math.factorial(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_unit_level_among_the_factors(self, d):
+        # The unit ideal's Newton polyhedron is the orthant: its weight
+        # changes nothing, and a support of unit levels alone grows by 0.
+        rng = random.Random(7300 + d)
+        unit = ft.truncate(ft.adic(mo.unit_ideal(d)), 1)
+        f = ft.truncate(random_filtration(rng, d, "adic"), 1)
+        g = ft.truncate(random_filtration(rng, d, "rounded-rational"), 1)
+        fs = [f, unit, g]
+        pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT)
+        (_, _, s), = pipe.parts
+        for n in _grid_and_supports(rng, d, 3):
+            want = vertex_sum_growth([f, g], (n[0], n[2]), s)
+            assert pipe.growth(n).value == want, n
+            assert vertex_sum_growth(fs, n, s) == want, n
+        assert pipe.growth((0, 2, 0)).value == 0
+        assert mu.exact_growth([unit, unit], (1, 3), 1) == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_truncation_periods_above_one(self, d):
+        # The sqrt(2) valuation truncated at 2 keeps levels that need period
+        # 2; every value divides the covolume of level 2 sums by 2^d.
+        root = ft.truncate(ft.rounded_valuation((1,) * d, ft.root_scale(2)), 2)
+        fs = [root, ft.truncate(ft.adic(mo.maximal_ideal(d)), 1)]
+        pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT)
+        (_, _, s), = pipe.parts
+        assert s > 1
+        for n in _grid_and_supports(random.Random(7400 + d), d, 2):
+            want = vertex_sum_growth(fs, n, s)
+            assert pipe.growth(n).value == want, n
+            if d <= 3:
+                assert product_covolume_growth(fs, n, s) == want, n
 
 
 class TestExactErrorPaths:
