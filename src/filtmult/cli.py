@@ -30,9 +30,9 @@ from .multiplicity import (
     DIRECT,
     TRUNCATION_EXACT,
     _positivity,
-    _truncation_ladder,
     _WeightedGrowth,
     product_ideal_at,
+    truncation_ladder,
 )
 
 _PARAM_KEYS = {
@@ -94,14 +94,14 @@ def _is_int(value) -> bool:
 
 def _expected_key_ok(section: str, key: str, r: int, d: int) -> bool:
     """Whether an expected-table key names a value of the model, read with
-    the same int calls the verify checks use."""
+    serialize.parse_type_key as the verify checks read it."""
     try:
-        if section == "multiplicity":
-            return 0 <= int(key) < r
         t = serialize.parse_type_key(key)
     except ValueError:
         return False
-    return len(t) == r and min(t) >= 0 and (section == "colength" or sum(t) == d)
+    if section == "multiplicity":
+        return len(t) == 1 and t[0] < r
+    return len(t) == r and (section == "colength" or sum(t) == d)
 
 
 def validate(config: dict) -> tuple[ComponentModel | None, list[str]]:
@@ -258,9 +258,15 @@ def run_multiplicity(model: ComponentModel, params: dict):
 
 def run_mixed(model: ComponentModel, params: dict):
     args = _backend_args(params)
-    rep = component_mixed(model, **args)
+    entries, tl = {}, None
+    if "truncation_levels" in params:
+        # validate has checked that the model is one component of weight 1
+        tl = truncation_ladder(_single_component(model), params["truncation_levels"])
+        if args["backend"] == TRUNCATION_EXACT:
+            entries = dict(tl.entries)  # the model's own report may be one of them
+    rep = entries.get(args["trunc_level"]) or component_mixed(model, **args)
     payload = {"kind": "mixed", "mixed": serialize.mixed_report_to_json(rep)}
-    if "truncation_levels" not in params:
+    if tl is None:
         return payload, serialize._csv(
             ["type", "value"],
             (
@@ -268,10 +274,6 @@ def run_mixed(model: ComponentModel, params: dict):
                 for t in sorted(rep.coeffs, reverse=True)
             ),
         )
-    # validate has checked that the model is one component of weight 1, and
-    # the model's own report is the ladder entry at trunc_level, if any.
-    known = {args["trunc_level"]: rep} if args["backend"] == TRUNCATION_EXACT else {}
-    tl = _truncation_ladder(_single_component(model), params["truncation_levels"], known)
     payload["ladder"] = serialize.ladder_to_json(tl)
     return payload, serialize.ladder_to_csv(tl)
 
@@ -426,7 +428,8 @@ def run_verify(model: ComponentModel, params: dict):
         return sum(_colengths(model, serialize.parse_type_key(key)))
 
     def multiplicity(key):
-        return mults()[int(key)].value
+        (j,) = serialize.parse_type_key(key)
+        return mults()[j].value
 
     rows = (  # section, value at a key, tolerance, label of a key, plural noun
         ("coefficients", coefficient, fit_tol, "coefficient {}", "coefficients"),

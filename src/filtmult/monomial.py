@@ -239,8 +239,6 @@ class MonomialIdeal:
         is d! times this value.
         """
         self._check_covolume()
-        if self.is_unit():
-            return Fraction(0)
         return polytope.orthant_covolume(self.gens, self.dim)
 
     def _check_covolume(self) -> None:

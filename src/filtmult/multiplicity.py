@@ -4,11 +4,10 @@ Direct ladders estimate the normalized limit of ell(R/product)/m^d from
 the tail of a ladder of rungs m; certified periods turn truncated
 filtrations into exact covolume computations.  The exact growth at n is
 the covolume of the Minkowski sum sum_j n_j*NP(I_j) of the level-s Newton
-polyhedra, since NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I).  One
-facet hull per support (the filtrations with n_j > 0) serves every n: the
-bounded simplices of the unit-weight sum, with each point written as a sum
-of one generator per level, map to simplices that cover the bounded faces
-of the sum at n (the lemma in _growth_form).  No product ideal is formed.
+polyhedra, since NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I).  This
+module only resolves the levels: their generators at each support (the
+filtrations with n_j > 0) go to polytope._covolume_form, whose one facet
+hull per support serves every n.  No product ideal is formed.
 Sampling the growth function on a unisolvent grid and solving the exact
 Vandermonde system extracts mixed multiplicities.  Both fits are linear in
 the sampled values, with weights fixed by the sample points alone: the
@@ -73,9 +72,21 @@ class MixedMultiplicityReport:
 
 def _common_dim(fs) -> int:
     dims = {f.dim for f in fs}
+    if not dims:
+        raise ValueError("at least one filtration required")
     if len(dims) != 1:
         raise ValueError("filtrations must share one ambient dimension")
     return dims.pop()
+
+
+def _weights(n, r: int) -> tuple[int, ...]:
+    """The level weights n as a tuple: one per filtration, all nonnegative."""
+    n = tuple(n)
+    if len(n) != r:
+        raise ValueError("one level weight per filtration required")
+    if any(v < 0 for v in n):
+        raise ValueError("level weights must be nonnegative")
+    return n
 
 
 def product_ideal_at(fs, levels) -> MonomialIdeal:
@@ -91,11 +102,7 @@ def product_ideal_at(fs, levels) -> MonomialIdeal:
 def length_sequence(fs, n, ladder) -> list[tuple[int, Fraction]]:
     """Normalized colengths of the product at levels m*n, one per ladder m."""
     fs = list(fs)
-    n = tuple(n)
-    if len(n) != len(fs):
-        raise ValueError("one level weight per filtration required")
-    if any(v < 0 for v in n):
-        raise ValueError("level weights must be nonnegative")
+    n = _weights(n, len(fs))
     msteps = list(ladder)
     if any(b <= a for a, b in zip(msteps, msteps[1:])) or any(m < 1 for m in msteps):
         raise ValueError("ladder must be strictly increasing and positive")
@@ -172,85 +179,25 @@ def exact_growth(fs, n, s: int) -> Fraction:
     No product ideal is formed.  Newton polyhedra turn products into
     Minkowski sums, NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I), so that
     polyhedron is sum_j n_j*NP(I_j), a mixed covolume of the levels.  It is
-    read off the growth form of the levels with n_j > 0 (_growth_form),
+    read off the covolume form of the levels with n_j > 0 (_level_form),
     built here for this one n; the exact backend builds each form once per
     support and reads every grid point from it.
     """
     fs = list(fs)
-    n = tuple(n)
+    n = _weights(n, len(fs))
     d = _common_dim(fs)
-    levels = [(f.ideal_at(s), nj) for f, nj in zip(fs, n) if nj]
-    form = _growth_form([level for level, _ in levels], d)
-    return _form_value(form, [nj for _, nj in levels], d) / s**d
+    support = tuple(j for j, nj in enumerate(n) if nj)
+    form = _level_form(fs, support, s, d)
+    return polytope._form_covolume(form, [n[j] for j in support], d) / s**d
 
 
-def _growth_form(levels, d: int) -> tuple[tuple, tuple]:
-    """The simplices from which covol(sum_j n_j*NP(I_j)) is read at every n > 0.
-
-    Lemma.  Let P_j = conv(G_j) + R^d_{>=0}, for G_j the generators of
-    the level I_j, let P(n) = sum_j n_j*P_j, and let every n_j > 0.  For
-    each inner normal nu > 0 the face of P(n) where nu is least is
-    sum_j n_j*P_j^nu, so the normal fan of P(n) does not depend on n.
-    Hence:
-    - each point g = sum_j g_j (g_j in G_j) on a bounded face P(1)^nu has
-      every g_j in P_j^nu, since nu.g = sum_j nu.g_j and each term is at
-      least the least value of nu on P_j;
-    - g -> phi_n(g) = sum_j n_j*g_j therefore sends every simplex of one
-      triangulation of the bounded faces of P(1) into the same face of
-      P(n), and each vertex of P(1) (one decomposition, vertex by vertex)
-      to the matching vertex of P(n);
-    - the cone volume from the origin over a chain that lies in a
-      hyperplane depends only on the chain's boundary (Stokes), so, face
-      dimension by face dimension, the images of the simplices on a
-      bounded face of P(1) cover the matching face of P(n) exactly once,
-      counted with orientation;
-    - the unbounded faces of P(n) lie in coordinate hyperplanes, as every
-      level holds a pure power of every variable, and add no volume.
-    So covol(P(n)) = sum_sigma eps_sigma*det(phi_n(sigma))/d!, where
-    eps_sigma is the sign of sigma's determinant at n = 1.
-
-    The unit-weight sums are built by folding the levels in one at a
-    time, keeping one decomposition per distinct sum and only the sums
-    above no other one (polytope._minimal): a sum above another lies on no
-    bounded face, and neither does any sum built on it.  One facet hull
-    (polytope._bounded_simplices) of the last sums gives the simplices.
-    Every level must have a finite covolume unless all are the unit ideal,
-    whose form is empty (growth 0).
-
-    Returns (decompositions, simplices): the decomposition (g_1, ..., g_r)
-    of each point of the simplices, and per simplex (eps, indices of its d
-    points).
-    """
-    if all(level.is_unit() for level in levels):
-        return (), ()
-    sums: dict[tuple[int, ...], tuple] = {(0,) * d: ()}
+def _level_form(fs, support, s: int, d: int) -> tuple[tuple, tuple]:
+    """The covolume form of the level-s ideals at the indices in support,
+    each checked to have a finite covolume."""
+    levels = [fs[j].ideal_at(s) for j in support]
     for level in levels:
         level._check_covolume()
-        grown: dict[tuple[int, ...], tuple] = {}
-        for u, dec in sums.items():
-            for g in level.gens:
-                key = tuple(map(operator.add, u, g))
-                if key not in grown:
-                    grown[key] = dec + (g,)
-        sums = {p: grown[p] for p in polytope._minimal(sorted(grown), d)}
-    simplices = polytope._bounded_simplices(sums, d)
-    index = {p: i for i, p in enumerate(dict.fromkeys(p for sim in simplices for p in sim))}
-    signed = tuple(
-        (1 if linalg.int_det(sim) > 0 else -1, tuple(index[p] for p in sim)) for sim in simplices
-    )
-    return tuple(sums[p] for p in index), signed
-
-
-def _form_value(form, weights, d: int) -> Fraction:
-    """covol(sum_j w_j*P_j) from the growth form of the P_j (see
-    _growth_form): each point's image sum_j w_j*g_j, then the signed cone
-    determinants of the simplices over d!."""
-    decs, simplices = form
-    images = [
-        [sum(w * g[k] for w, g in zip(weights, dec)) for k in range(d)] for dec in decs
-    ]
-    total = sum(eps * linalg.int_det([images[i] for i in idx]) for eps, idx in simplices)
-    return Fraction(total, math.factorial(d))
+    return polytope._covolume_form([level.gens for level in levels], d)
 
 
 def sample_grid(d: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -320,7 +267,7 @@ class _WeightedGrowth:
     and extrapolates the sum.  Growth values and the mixed report are
     memoized per instance, so mixed() and multiplicities() on one instance
     share their grid points and the report is fitted once.  The exact
-    backend also keeps one growth form per part and support (the indices
+    backend also keeps one covolume form per part and support (the indices
     with n_j > 0), so one facet hull serves every grid point on it; the
     forms are keyed by positions in this instance's filtrations, so
     restricted() starts its own.
@@ -377,7 +324,7 @@ class _WeightedGrowth:
 
     def growth(self, n) -> LimitEstimate:
         """Limit of the weight-summed ell(R/product at m*n)/m^d, memoized."""
-        n = tuple(n)
+        n = _weights(n, self.r)
         if n not in self._growth:
             self._growth[n] = self._limit(n)
         return self._growth[n]
@@ -389,9 +336,9 @@ class _WeightedGrowth:
             value = Fraction(0)
             for k, (w, fs, s) in enumerate(self.parts):
                 if (k, support) not in self._forms:
-                    levels = [fs[j].ideal_at(s) for j in support]
-                    self._forms[k, support] = _growth_form(levels, self.d)
-                value += w * _form_value(self._forms[k, support], weights, self.d) / s**self.d
+                    self._forms[k, support] = _level_form(fs, support, s, self.d)
+                form = self._forms[k, support]
+                value += w * polytope._form_covolume(form, weights, self.d) / s**self.d
             return LimitEstimate(
                 value=value,
                 lower_evidence=value,
@@ -492,18 +439,10 @@ def truncation_ladder(fs, levels) -> TruncationLadder:
     Successive differences per type vector are attached as convergence
     evidence; no rate is claimed.
     """
-    return _truncation_ladder(fs, levels, {})
-
-
-def _truncation_ladder(fs, levels, known) -> TruncationLadder:
-    """truncation_ladder, taking the report at each level in known as given."""
     steps = list(levels)
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("truncation levels must be strictly increasing")
-    entries = []
-    for a in steps:
-        rep = known[a] if a in known else mixed_multiplicities(fs, TRUNCATION_EXACT, a)
-        entries.append((a, rep))
+    entries = [(a, mixed_multiplicities(fs, TRUNCATION_EXACT, a)) for a in steps]
     diffs: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     if entries:
         for t in entries[0][1].coeffs:

@@ -19,20 +19,19 @@ one denominator; okounkov hands it a body's extreme feet and their ray
 points as integers over lcm(1..cutoff), so no point of a large input is
 ever a Fraction.
 
-The module also computes `orthant_covolume`: the volume of the region of
-the positive orthant lying under the Newton polyhedron spanned by a set of
-integer exponents.  That region is star-shaped with respect to the origin,
-so its volume is the sum of the cones from the origin over the simplices
-that triangulate the bounded faces (_bounded_simplices).  Those and
-orthant_extremes first drop every exponent lying above another one with
-the package's one antichain kernel (_minimal), which sweeps sorted points
-in dimensions 1 to 3 and tests dominance with bitsets from 4 on; monomial
-imports the same kernel to keep minimal generators.  Dimensions 1 and 2
-take the simplices from the staircase sweep of orthant_extremes (its
-point, or its segments); dimensions 3 and 4 read them, and the vertices,
-off one facet hull of the kept exponents and far points along each axis
-(_orthant_facets).  The exact growth in multiplicity reads the same
-simplices once per growth form and maps them to every grid point.
+The module also holds the package's one covolume algorithm.  The region
+of the positive orthant under a Newton polyhedron conv(G) + orthant is
+star-shaped with respect to the origin, so its volume is the sum of the
+cones from the origin over simplices that triangulate the bounded faces.
+_covolume_form folds integer point sets G_j into their unit-weight sums,
+keeps those above no other one with the package's one antichain kernel
+(_minimal; monomial imports it to keep minimal generators), and
+triangulates the bounded faces once: by the staircase sweep of
+orthant_extremes in dimensions 1 and 2, and off one facet hull of the kept
+points and their far points (_orthant_facets) in dimensions 3 and 4.
+_form_covolume then reads covol(sum_j n_j*P_j) at any weights n > 0.
+orthant_covolume is the one-set form at weight 1, and the exact growth in
+multiplicity reads one form per support.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .linalg import int_det
@@ -460,8 +459,6 @@ def _minimalize3(pts: list[tuple]) -> tuple[tuple, ...]:
     return tuple(kept)
 
 
-
-
 def _orthant_facets(pts: Sequence[tuple]) -> tuple[int, list[tuple]]:
     """Facet hull of the undominated points pts and their far points.
 
@@ -485,32 +482,88 @@ def _orthant_facets(pts: Sequence[tuple]) -> tuple[int, list[tuple]]:
     return den, _facets(ints, [0] + [n + k for k in range(d)])
 
 
-def _bounded_simplices(points: Iterable[Sequence], dim: int) -> list[tuple[tuple, ...]]:
-    """Simplices of d input points that triangulate the bounded faces of
-    conv(points) + positive orthant.
+def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tuple, tuple]:
+    """The simplices from which covol(sum_j n_j*P_j) is read at every n > 0,
+    for P_j = conv(G_j) + positive orthant and the integer point sets G_j.
 
-    Dimension 1: the chain of orthant_extremes, its one point; dimension 2:
-    its segments.  Dimensions 3 and 4: the facets of _orthant_facets with a
-    strictly positive inner normal, which are the bounded facets of the
-    polyhedron and hold no far point.
+    Lemma.  Let P_j = conv(G_j) + R^d_{>=0}, for G_j the generators of
+    the level I_j, let P(n) = sum_j n_j*P_j, and let every n_j > 0.  For
+    each inner normal nu > 0 the face of P(n) where nu is least is
+    sum_j n_j*P_j^nu, so the normal fan of P(n) does not depend on n.
+    Hence:
+    - each point g = sum_j g_j (g_j in G_j) on a bounded face P(1)^nu has
+      every g_j in P_j^nu, since nu.g = sum_j nu.g_j and each term is at
+      least the least value of nu on P_j;
+    - g -> phi_n(g) = sum_j n_j*g_j therefore sends every simplex of one
+      triangulation of the bounded faces of P(1) into the same face of
+      P(n), and each vertex of P(1) (one decomposition, vertex by vertex)
+      to the matching vertex of P(n);
+    - the cone volume from the origin over a chain that lies in a
+      hyperplane depends only on the chain's boundary (Stokes), so, face
+      dimension by face dimension, the images of the simplices on a
+      bounded face of P(1) cover the matching face of P(n) exactly once,
+      counted with orientation;
+    - the unbounded faces of P(n) lie in coordinate hyperplanes, as every
+      level holds a pure power of every variable, and add no volume.
+    So covol(P(n)) = sum_sigma eps_sigma*det(phi_n(sigma))/d!, where
+    eps_sigma is the sign of sigma's determinant at n = 1.
+
+    The sets are folded in one at a time, keeping one decomposition per
+    distinct sum and only the sums above no other one (_minimal): a sum
+    above another lies on no bounded face, and neither does any sum built
+    on it.  The simplices are the orthant_extremes point (dimension 1) or
+    segments (dimension 2), or the facets of _orthant_facets with a
+    strictly positive inner normal, the bounded ones (dimensions 3, 4).
+    Every set must hold a pure power of every axis; the origin alone (no
+    sets, or the unit ideal) spans no simplex of nonzero volume.
+
+    Returns (decompositions, simplices): the decomposition (g_1, ..., g_r)
+    of each point of the simplices, and per simplex (eps, indices of its d
+    points).
     """
+    sums: dict[tuple[int, ...], tuple] = {(0,) * dim: ()}
+    for gens in point_sets:
+        grown: dict[tuple[int, ...], tuple] = {}
+        for u, dec in sums.items():
+            for g in gens:
+                key = tuple(map(add, u, g))
+                if key not in grown:
+                    grown[key] = dec + (g,)
+        sums = {p: grown[p] for p in _minimal(sorted(grown), dim)}
     if dim <= 2:
-        chain = orthant_extremes(points)
-        return [(p,) for p in chain] if dim == 1 else list(zip(chain, chain[1:]))
-    kept = _minimal(sorted({tuple(p) for p in points}), dim)
-    _, facets = _orthant_facets(kept)
-    return [tuple(kept[i] for i in idx) for normal, _, idx in facets if all(x > 0 for x in normal)]
+        chain = orthant_extremes(sums)
+        simplices = [(p,) for p in chain] if dim == 1 else list(zip(chain, chain[1:]))
+    else:
+        kept = tuple(sums)
+        _, facets = _orthant_facets(kept)
+        simplices = [
+            tuple(kept[i] for i in idx) for normal, _, idx in facets if all(x > 0 for x in normal)
+        ]
+    index = {p: i for i, p in enumerate(dict.fromkeys(p for sim in simplices for p in sim))}
+    signed = tuple(
+        (1 if int_det(sim) > 0 else -1, tuple(index[p] for p in sim)) for sim in simplices
+    )
+    return tuple(sums[p] for p in index), signed
+
+
+def _form_covolume(form: tuple[tuple, tuple], weights: Sequence[int], dim: int) -> Fraction:
+    """covol(sum_j w_j*P_j) from the covolume form of the P_j (see
+    _covolume_form): each point's image sum_j w_j*g_j, then the signed cone
+    determinants of the simplices over d!."""
+    decs, simplices = form
+    images = [
+        [sum(w * g[k] for w, g in zip(weights, dec)) for k in range(dim)] for dec in decs
+    ]
+    total = sum(eps * int_det([images[i] for i in idx]) for eps, idx in simplices)
+    return Fraction(total, factorial(dim))
 
 
 def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
     """Volume between the positive orthant boundary and the Newton polyhedron.
 
     gens must contain a pure power of every coordinate axis so that the
-    region is bounded.  The region is the union of the cones from the
-    origin over the bounded simplices (_bounded_simplices), so it is the
-    sum of their unsigned determinants over d!.  Exact; integer arithmetic
-    throughout except the final division.
+    region is bounded.  It is the one-set covolume form (_covolume_form)
+    read at weight 1, where each signed determinant is its absolute value.
     """
     den, ints = _scaled({tuple(g) for g in gens})
-    total = sum(abs(int_det(s)) for s in _bounded_simplices(ints, dim))
-    return Fraction(total, factorial(dim) * den**dim)
+    return _form_covolume(_covolume_form([ints], dim), (1,), dim) / den**dim

@@ -216,7 +216,10 @@ def _type_key(t) -> str:
 
 
 def parse_type_key(key: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in key.split(","))
+    """Read "2,0,1" as (2, 0, 1): ASCII digits only, where int() takes signs, spaces, "_"."""
+    if not all(c.isascii() and c.isdigit() for c in key.split(",")):
+        raise ValueError(f"not a comma-separated list of nonnegative integers: {key!r}")
+    return tuple(map(int, key.split(",")))
 
 
 def mixed_report_to_json(rep: MixedMultiplicityReport) -> dict:

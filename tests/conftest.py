@@ -421,7 +421,8 @@ def vertex_sum_growth(fs, n, s):
     one vertex v_j of each level-s NP(I_j), so the orthant covolume of
     those sums, over s^d, is the growth.  The running sums are cut to
     their orthant extremes from the third factor on.  One hull of fresh
-    sums per call, independent of the growth forms of multiplicity.
+    sums per call, independent of the covolume forms (polytope._covolume_form)
+    of the exact backend; the final covolume reads a one-set form at weight 1.
     """
     d = fs[0].dim
     levels = [(f.ideal_at(s), nj) for f, nj in zip(fs, n) if nj]

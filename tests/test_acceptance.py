@@ -376,7 +376,7 @@ def test_13_deep_plane_bodies_hull_their_extreme_feet():
 
 def test_14_dim4_three_filtration_exact_report_from_one_hull_per_support():
     # Every grid point of the 15-point dim-4 grid reads its growth off the
-    # one growth form of the full support; a facet hull per grid point took
+    # one covolume form of the full support; a facet hull per grid point took
     # about 0.37 s for this report.
     gens = [
         [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 1)],

@@ -131,6 +131,23 @@ class TestInputProblems:
                 {"expected": {"multiplicity": {"2": "1"}}},
                 "expected multiplicity key must be a filtration index in [0, 2): '2'",
             ),
+            *(
+                (
+                    {"expected": {"multiplicity": {key: "1"}}},
+                    f"expected multiplicity key must be a filtration index in [0, 2): {key!r}",
+                )
+                # int() reads each of these as an index
+                for key in ("0_0", " 1", "+1", "\uff11")
+            ),
+            (
+                {"expected": {"colength": {"1, 1": "4"}}},
+                "expected colength key must be 2 comma-separated nonnegative integers: '1, 1'",
+            ),
+            (
+                {"expected": {"coefficients": {"+1,1": "1"}}},
+                "expected coefficients key must be 2 comma-separated nonnegative"
+                " integers summing to 2: '+1,1'",
+            ),
             (
                 {"expected": {"colength": {"1,a": "4"}}},
                 "expected colength key must be 2 comma-separated nonnegative integers: '1,a'",
@@ -723,7 +740,8 @@ class TestSharedWork:
         assert calls == [((1,), 2, 16)]
 
     def test_mixed_certifies_trunc_level_once(self, capsys, monkeypatch):
-        # trunc_level 4 is also a rung of truncation_levels [1, 2, 4]
+        # trunc_level 4 is also a rung of truncation_levels [1, 2, 4]; the
+        # ladder runs first and the model's report is its last entry
         levels = []
         real = mu.noetherian_period
 
@@ -734,7 +752,7 @@ class TestSharedWork:
         monkeypatch.setattr(mu, "noetherian_period", counted)
         rc, out, _ = run(capsys, ["mixed", "--config", SQRT2_TRUNC, "--no-timestamp"])
         assert rc == 0
-        assert levels == [4, 1, 2]
+        assert levels == [1, 2, 4]
         payload = json.loads(out)
         assert payload["ladder"]["entries"][-1]["mixed"] == payload["mixed"]
 

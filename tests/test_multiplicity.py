@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from filtmult import components as cp
 from filtmult import filtration as ft
 from filtmult import linalg
 from filtmult import monomial as mo
@@ -58,6 +60,43 @@ class TestLengthSequence:
             mu.length_sequence(
                 [maximal_adic(), ft.adic(mo.ideal(1, [(2,)]))], (1, 1), [2, 4]
             )
+
+
+class TestWeightChecks:
+    """Both backends, and the bare growth functions, refuse a bad weight
+    vector with the same message."""
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ((1,), "one level weight per filtration required"),
+            ((1, 1, 1), "one level weight per filtration required"),
+            ((-1, 2), "level weights must be nonnegative"),
+        ],
+    )
+    def test_every_entry_refuses(self, n, message):
+        pair = [maximal_adic(), parabola_adic()]
+        model = cp.model([(1, pair)])
+        calls = [
+            lambda: mu.length_sequence(pair, n, mu.DEFAULT_LADDER),
+            lambda: mu.exact_growth(pair, n, 1),
+            lambda: cp.component_growth(model, n, backend=mu.DIRECT),
+            lambda: cp.component_growth(model, n, backend=mu.TRUNCATION_EXACT, trunc_level=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_no_filtrations(self):
+        calls = [
+            lambda: mu.length_sequence([], (), mu.DEFAULT_LADDER),
+            lambda: mu.exact_growth([], (), 1),
+            lambda: mu.mixed_multiplicities([], mu.DIRECT),
+            lambda: mu.mixed_multiplicities([], mu.TRUNCATION_EXACT, trunc_level=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="at least one filtration required"):
+                call()
 
 
 class TestLimitEstimate:
@@ -207,7 +246,7 @@ _LIGHT_CASES = [
 
 
 class TestMinkowskiGrowthOracle:
-    """The exact backend reads each grid point off a growth form; the slow
+    """The exact backend reads each grid point off a covolume form; the slow
     path multiplies the level ideals out.  Both must agree everywhere."""
 
     @pytest.mark.parametrize(
@@ -278,7 +317,7 @@ def _grid_and_supports(rng, d, r):
 
 
 class TestGrowthForm:
-    """One growth form per support against sums of level vertices (one
+    """One covolume form per support against sums of level vertices (one
     fresh hull per value) and, where small, product ideals."""
 
     @pytest.mark.parametrize("d,r", [(d, r) for d in (1, 2, 3, 4) for r in (1, 2, 3)])

@@ -12,7 +12,7 @@ from conftest import (
     random_primary_gens,
 )
 from filtmult import polytope
-from filtmult.monomial import ideal
+from filtmult.monomial import ideal, unit_ideal
 from filtmult.polytope import Halfspace, RationalPolytope, clip, hull, minkowski_sum
 
 F = Fraction
@@ -326,6 +326,31 @@ class TestFacetHullAgainstOracles:
             pts = [tuple(c + 2 for c in p) for p in pts]  # off the axes, some collinear
             assert polytope.orthant_extremes(pts) == lp_orthant_extremes(pts), pts
             assert polytope.orthant_covolume(pts, dim) == brute_orthant_covolume(pts, dim), pts
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_origin_spans_no_volume(self, dim):
+        # no unit-ideal shortcut: the origin alone spans no bounded simplex
+        # of nonzero volume, and neither does an empty list of sets
+        assert polytope.orthant_covolume([(0,) * dim], dim) == 0
+        assert unit_ideal(dim).covolume() == 0
+        assert polytope._form_covolume(polytope._covolume_form([], dim), (), dim) == 0
+
+    @pytest.mark.parametrize("dim,count", [(1, 10), (2, 10), (3, 8), (4, 4)])
+    def test_covolume_form_matches_minkowski_sums(self, dim, count):
+        # one form serves every weight vector: at each n it must equal the
+        # covolume of the sums of n_j times one point of each set, read off
+        # one fresh hull of those sums (the LP oracle is too slow for them)
+        rng = random.Random(41 * dim)
+        for _ in range(count):
+            sets = [random_primary_gens(rng, dim, 3) for _ in range(rng.randint(1, 3))]
+            form = polytope._covolume_form(sets, dim)
+            for _ in range(3):
+                n = [rng.randint(1, 3) for _ in sets]
+                sums = {(0,) * dim}
+                for nj, gens in zip(n, sets):
+                    sums = {tuple(a + nj * b for a, b in zip(u, g)) for u in sums for g in gens}
+                want = polytope.orthant_covolume(sums, dim)
+                assert polytope._form_covolume(form, n, dim) == want, (sets, n)
 
     @pytest.mark.parametrize(
         "gens",

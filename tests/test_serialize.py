@@ -160,6 +160,11 @@ class TestTypeKeys:
         for t in ((2, 0), (1, 1), (0, 0, 3)):
             assert se.parse_type_key(",".join(str(c) for c in t)) == t
 
+    @pytest.mark.parametrize("key", ["", "1,", "-1", "+1", " 1", "1 ", "0_0", "\uff11", "1.0"])
+    def test_ascii_digits_only(self, key):
+        with pytest.raises(ValueError, match="comma-separated list of nonnegative integers"):
+            se.parse_type_key(key)
+
 
 class TestReportSerializers:
     def test_estimate_shapes(self):
