@@ -28,7 +28,7 @@ keeps those above no other one with the package's one antichain kernel
 (_minimal; monomial imports it to keep minimal generators), and
 triangulates the bounded faces once: by the staircase sweep of
 orthant_extremes in dimensions 1 and 2, and off one facet hull of the kept
-points and their far points (_orthant_facets) in dimensions 3 and 4.
+points and one far point per axis, beyond them all, in dimensions 3 and 4.
 _form_covolume then reads covol(sum_j n_j*P_j) at any weights n > 0.
 orthant_covolume is the one-set form at weight 1, and the exact growth in
 multiplicity reads one form per support.
@@ -351,8 +351,22 @@ def orthant_extremes(points: Iterable[Sequence]) -> list[tuple]:
     dim-2 Newton polyhedron and exact covolume runs through here, and the
     facet path below is 15 to 60 times slower per call on 7 to 5000 point
     staircases (6 ms against 0.09 s at 5000 points), so the sweep stays.
-    Dimensions 3 and 4 read the vertices off the facet hull of the kept
-    points and their far points (_orthant_facets).
+    Dimensions 3 and 4 read the vertices off the facet hull Q of the kept
+    points and their far points, below.
+
+    With P = conv(kept) + orthant, the hull Q of kept and the far points
+    t + e_k (t in kept, k an axis, after scaling to integers) lies in P.
+    A far point is never on a face of Q whose inner normal u is strictly
+    positive, as u.(t + e_k) > u.t, so those faces are the bounded faces
+    of P.  A point s of kept that is not a vertex of P is none of Q either:
+    if s = t + r with t in conv(kept) and 0 != r >= 0, then s lies inside
+    the segment from t to s + c*r, a point of the hull of s and its far
+    points for small c > 0; otherwise r = 0 is forced and s lies inside a
+    segment of conv(kept).  So the vertices of P are the points of kept
+    that are vertices of Q.  Every point needs its own far points for this:
+    with only one far point per axis (as _covolume_form uses), a point
+    above a segment of P, such as (1, 2, 0) above the segment from
+    (2, 0, 0) to (0, 3, 0), can be a vertex of Q.
     """
     pts = sorted({tuple(p) for p in points})
     if not pts:
@@ -368,8 +382,11 @@ def orthant_extremes(points: Iterable[Sequence]) -> list[tuple]:
                 stack.pop()
             stack.append(p)
         return stack
-    _, facets = _orthant_facets(kept)
-    return sorted(kept[i] for i in _vertex_indices(facets, dim, len(kept)))
+    _, ints = _scaled(kept)
+    n = len(ints)
+    ints += [tuple(c + (j == k) for j, c in enumerate(p)) for p in ints[:n] for k in range(dim)]
+    facets = _facets(ints, [0] + [n + k for k in range(dim)])
+    return sorted(kept[i] for i in _vertex_indices(facets, dim, n))
 
 
 def _cross(o: Sequence, a: Sequence, b: Sequence):
@@ -459,29 +476,6 @@ def _minimalize3(pts: list[tuple]) -> tuple[tuple, ...]:
     return tuple(kept)
 
 
-def _orthant_facets(pts: Sequence[tuple]) -> tuple[int, list[tuple]]:
-    """Facet hull of the undominated points pts and their far points.
-
-    With P = conv(pts) + orthant, the hull Q of pts and the far points
-    t + e_k (t in pts, k an axis, after scaling to integers) lies in P.
-    A far point is never on a face of Q whose inner normal u is strictly
-    positive, as u.(t + e_k) > u.t, so those faces are the bounded faces
-    of P.  A point s of pts that is not a vertex of P is none of Q either:
-    if s = t + r with t in conv(pts) and 0 != r >= 0, then s lies inside
-    the segment from t to s + c*r, a point of the hull of s and its far
-    points for small c > 0; otherwise r = 0 is forced and s lies inside a
-    segment of conv(pts).  So the vertices of P are the points of pts that
-    are vertices of Q.
-
-    Returns (den, facets): the facets of the hull of pts scaled by den to
-    integers (indices below len(pts)) and their far points (the rest).
-    """
-    den, ints = _scaled(pts)
-    n, d = len(ints), len(ints[0])
-    ints += [tuple(c + (j == k) for j, c in enumerate(p)) for p in ints[:n] for k in range(d)]
-    return den, _facets(ints, [0] + [n + k for k in range(d)])
-
-
 def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tuple, tuple]:
     """The simplices from which covol(sum_j n_j*P_j) is read at every n > 0,
     for P_j = conv(G_j) + positive orthant and the integer point sets G_j.
@@ -512,8 +506,23 @@ def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tup
     distinct sum and only the sums above no other one (_minimal): a sum
     above another lies on no bounded face, and neither does any sum built
     on it.  The simplices are the orthant_extremes point (dimension 1) or
-    segments (dimension 2), or the facets of _orthant_facets with a
-    strictly positive inner normal, the bounded ones (dimensions 3, 4).
+    segments (dimension 2).  In dimensions 3 and 4 they are the facets
+    with a strictly positive inner normal of the hull Q' of the n kept
+    sums and d far points T + e_k, where T is one more than the largest
+    coordinate of the sums on each axis: n + d points in all.
+    - Each far point is >= every sum, so Q' lies in
+      P = conv(sums) + R^d_{>=0}, and Q' contains every sum.
+    - So for every nu > 0 the least value of nu on Q' equals its least
+      value on P, which conv(sums) attains, and only sums attain it on
+      Q', since nu.(T + e_k) > nu.g for every sum g.  Hence the face of
+      Q' where nu is least is the face of P where nu is least.
+    - The faces of P where some nu > 0 is least are its bounded faces,
+      so the facets of Q' with a strictly positive inner normal are
+      exactly the bounded facets of P.
+    - Q' is full-dimensional: every sum lies strictly below the
+      hyperplane through the far points, which are affinely independent.
+      For the same reason the first sum and the far points are a frame
+      for _facets.
     Every set must hold a pure power of every axis; the origin alone (no
     sets, or the unit ideal) spans no simplex of nonzero volume.
 
@@ -534,10 +543,13 @@ def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tup
         chain = orthant_extremes(sums)
         simplices = [(p,) for p in chain] if dim == 1 else list(zip(chain, chain[1:]))
     else:
-        kept = tuple(sums)
-        _, facets = _orthant_facets(kept)
+        pts = list(sums)
+        n = len(pts)
+        top = [max(c) + 1 for c in zip(*pts)]
+        pts += [tuple(t + (j == k) for j, t in enumerate(top)) for k in range(dim)]
+        facets = _facets(pts, [0] + [n + k for k in range(dim)])
         simplices = [
-            tuple(kept[i] for i in idx) for normal, _, idx in facets if all(x > 0 for x in normal)
+            tuple(pts[i] for i in idx) for normal, _, idx in facets if all(x > 0 for x in normal)
         ]
     index = {p: i for i, p in enumerate(dict.fromkeys(p for sim in simplices for p in sim))}
     signed = tuple(
@@ -565,5 +577,8 @@ def orthant_covolume(gens: Sequence[tuple], dim: int) -> Fraction:
     region is bounded.  It is the one-set covolume form (_covolume_form)
     read at weight 1, where each signed determinant is its absolute value.
     """
-    den, ints = _scaled({tuple(g) for g in gens})
+    pts = {tuple(g) for g in gens}
+    if any(len(p) != dim for p in pts):
+        raise ValueError("point length does not match dimension")
+    den, ints = _scaled(pts)
     return _form_covolume(_covolume_form([ints], dim), (1,), dim) / den**dim

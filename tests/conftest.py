@@ -17,6 +17,7 @@ import pytest
 
 from filtmult import filtration as ft
 from filtmult import polytope
+from filtmult.linalg import int_det
 from filtmult.monomial import ideal
 
 
@@ -409,6 +410,28 @@ def brute_orthant_covolume(gens, dim):
         for s in _triangulate_facet([ext[i] for i in idxs], normal, dim):
             total += abs(det([list(p) for p in s]))
     return total / math.factorial(dim)
+
+
+def far_point_covolume(points, dim):
+    """Covolume of conv(points) + positive orthant from the hull of the
+    points and d far points t + e_k of each point t, scaled to integers:
+    cones from the origin over its facets with a strictly positive inner
+    normal.  Every point keeps its own far points, so this does not rest on
+    the single far point per axis of polytope._covolume_form; it shares
+    only polytope._facets, polytope._frame and linalg.int_det with it.
+    Dominated points may stay; dropping them first only makes the hull
+    smaller."""
+    pts = {tuple(map(Fraction, p)) for p in points}
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    ints = [tuple(int(c * den) for c in p) for p in pts]
+    ints += [tuple(c + (j == k) for j, c in enumerate(p)) for p in list(ints) for k in range(dim)]
+    facets = polytope._facets(ints, polytope._frame(ints)[0])
+    total = sum(
+        abs(int_det([ints[i] for i in idx]))
+        for normal, _, idx in facets
+        if all(x > 0 for x in normal)
+    )
+    return Fraction(total, math.factorial(dim) * den**dim)
 
 
 # -- growth oracles -----------------------------------------------------------

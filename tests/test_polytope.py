@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     brute_orthant_covolume,
     brute_volume,
+    far_point_covolume,
     lp_hull_vertices,
     lp_in_hull,
     lp_orthant_extremes,
@@ -244,6 +245,34 @@ class TestOrthantGeometry:
             ((2, 0, 0), (0, 2, 0), (0, 0, 2)), 3
         ) == F(8, 6)
 
+    def test_covolume_rejects_points_of_another_length(self):
+        # too long used to read 0, too short raised an IndexError
+        for gens, dim in [([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2), ([(2, 0), (0, 3)], 3)]:
+            with pytest.raises(ValueError, match="point length does not match dimension"):
+                polytope.orthant_covolume(gens, dim)
+
+    def test_extremes_keep_per_point_far_points(self):
+        # (1, 2, 0) lies above the segment from (2, 0, 0) to (0, 3, 0); a
+        # hull with one far point per axis would make it a vertex
+        gens = [(0, 0, 1), (0, 3, 0), (1, 2, 0), (2, 0, 0)]
+        ext = polytope.orthant_extremes(gens)
+        assert (1, 2, 0) not in ext
+        assert ext == lp_orthant_extremes(gens)
+
+
+def _weighted_sums(sets, n, dim):
+    """The sums of n_j times one point of each set that lie above no other
+    one, sorted.  Lexicographic order puts every sum after the sums below
+    it, so each is checked against the kept ones only."""
+    sums = [(0,) * dim]
+    for nj, gens in zip(n, sets):
+        kept = []
+        for p in sorted({tuple(a + nj * b for a, b in zip(u, g)) for u in sums for g in gens}):
+            if not any(all(a <= b for a, b in zip(q, p)) for q in kept):
+                kept.append(p)
+        sums = kept
+    return sums
+
 
 def _random_points(rng, dim, n, top=3):
     """n random points of the box [0, top]^dim, some coordinates halves or
@@ -339,18 +368,59 @@ class TestFacetHullAgainstOracles:
     def test_covolume_form_matches_minkowski_sums(self, dim, count):
         # one form serves every weight vector: at each n it must equal the
         # covolume of the sums of n_j times one point of each set, read off
-        # one fresh hull of those sums (the LP oracle is too slow for them)
+        # one fresh per-point far-point hull of those sums (the LP oracle is
+        # too slow for them)
         rng = random.Random(41 * dim)
         for _ in range(count):
             sets = [random_primary_gens(rng, dim, 3) for _ in range(rng.randint(1, 3))]
             form = polytope._covolume_form(sets, dim)
             for _ in range(3):
                 n = [rng.randint(1, 3) for _ in sets]
-                sums = {(0,) * dim}
-                for nj, gens in zip(n, sets):
-                    sums = {tuple(a + nj * b for a, b in zip(u, g)) for u in sums for g in gens}
-                want = polytope.orthant_covolume(sums, dim)
+                want = far_point_covolume(_weighted_sums(sets, n, dim), dim)
                 assert polytope._form_covolume(form, n, dim) == want, (sets, n)
+
+    def test_covolume_form_on_seeded_powers(self):
+        # 120 forms in dims 3 and 4 of up to three sets, about a quarter of
+        # the sets squares of an ideal, each read at 5 weights against the
+        # per-point far-point hull of the weighted sums; the first few small
+        # dim-3 sums are checked against the brute-force facet scan too
+        rng = random.Random(2021)
+        brute = 0
+        for _ in range(120):
+            dim = rng.choice((3, 4))
+            sets = []
+            for _ in range(rng.randint(1, 3)):
+                gens = random_primary_gens(rng, dim, 2)
+                if rng.random() < 0.25:
+                    gens = ideal(dim, gens).power(2).gens
+                sets.append(gens)
+            form = polytope._covolume_form(sets, dim)
+            for _ in range(5):
+                n = [rng.randint(1, 2) for _ in sets]
+                sums = _weighted_sums(sets, n, dim)
+                got = polytope._form_covolume(form, n, dim)
+                assert got == far_point_covolume(sums, dim), (sets, n)
+                if dim == 3 and len(sums) <= 20 and brute < 3:
+                    brute += 1
+                    assert got == brute_orthant_covolume(sums, dim), (sets, n)
+        assert brute == 3
+
+    def test_covolume_form_hulls_kept_sums_and_one_far_point_per_axis(self, monkeypatch):
+        calls = []
+        facets = polytope._facets
+
+        def counted(pts, frame):
+            calls.append(len(pts))
+            return facets(pts, frame)
+
+        monkeypatch.setattr(polytope, "_facets", counted)
+        rng = random.Random(7)
+        for dim in (3, 4):
+            sets = [random_primary_gens(rng, dim, 3) for _ in range(2)]
+            polytope._covolume_form(sets, dim)
+            kept = _weighted_sums(sets, [1, 1], dim)
+            assert calls == [len(kept) + dim]
+            calls.clear()
 
     @pytest.mark.parametrize(
         "gens",
