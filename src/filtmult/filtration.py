@@ -3,9 +3,10 @@
 Five kinds are provided: powers of a fixed ideal, a fixed ideal plus
 powers of another, levels cut out by a weighted valuation with an exactly
 rounded (possibly irrational quadratic) threshold, truncations that
-regenerate high levels from low ones, and index rescalings.  Levels are
-memoized per filtration.  A truncation's period is one integer s, proved
-from its first a levels to give level(s*i) = level(s)^i for every i.
+regenerate high levels from their least generating level, and index
+rescalings.  Levels are memoized per filtration.  A truncation's period
+is one integer s, proved from its first a levels to give
+level(s*i) = level(s)^i for every i.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import monomial
 from .monomial import MonomialIdeal
@@ -224,6 +226,18 @@ class TruncatedFiltration(Filtration):
     of Filtration._from_levels_up_to.  The rule needs the kept levels to
     multiply into one another (I_i * I_j inside I_{i+j} for i + j <= a),
     so a base that is not a filtration below a is rejected.
+
+    Levels past a are regenerated from the least generating level a*: the
+    largest j <= a with I_j != sum(I_i * I_{j-i} for 0 < i < j), or 1 if
+    there is none.  Truncating at a* gives the same levels J_n.  Past a*,
+    J_n is the sum over compositions of n with parts <= a*; splitting each
+    after its first part i gives sum(J_i * J_{n-i} for 0 < i < n).  So by
+    induction on j, I_j = J_j for every j <= a: for j <= a* both are the
+    base level, and past a* I_j is that same sum of products of lower,
+    equal levels.  A truncation of an adic filtration thus regenerates
+    like the adic one, with one product per level.  The user's a stays
+    the filtration's a everywhere else (serialization, period search,
+    the exact backend's note).
     """
 
     kind = "truncated"
@@ -231,15 +245,20 @@ class TruncatedFiltration(Filtration):
     def __init__(self, base: Filtration, a: int) -> None:
         if a < 1:
             raise ValueError("truncation level must be positive")
-        bad = check_submultiplicative(base, a).first_violation
-        if bad is not None:
-            raise ValueError(
-                f"truncation base is not a filtration below {a}: "
-                f"levels {bad[0]} and {bad[1]} multiply outside level {sum(bad)}"
-            )
+        # the sums of the base check's own products find a*
+        sums: dict[int, MonomialIdeal] = {}
+        for i, j, prod in _level_products(base, a):
+            if not base.ideal_at(i + j).contains_ideal(prod):
+                raise ValueError(
+                    f"truncation base is not a filtration below {a}: "
+                    f"levels {i} and {j} multiply outside level {i + j}"
+                )
+            got = sums.get(i + j)
+            sums[i + j] = prod if got is None else got + prod
         super().__init__(base.dim)
         self.base = base
         self.a = a
+        self._least = max((n for n, s in sums.items() if s != base.ideal_at(n)), default=1)
         self._exponents: dict[int, int] | None = None
 
     def _level(self, n: int) -> MonomialIdeal:
@@ -250,7 +269,7 @@ class TruncatedFiltration(Filtration):
             # recurrence run on bare ints, which makes the sqrt(2)
             # truncation ladder to a = 64 about twenty times faster.
             return monomial.ideal(1, [(self._exponent_level(n),)])
-        return self._from_levels_up_to(self.a, n)
+        return self._from_levels_up_to(self._least, n)
 
     def _exponent_level(self, n: int) -> int:
         # One generator per level in dimension one, so the recurrence can
@@ -262,7 +281,7 @@ class TruncatedFiltration(Filtration):
         table = self._exponents
         for k in range(max(table) + 1, n + 1):
             table[k] = min(
-                table[i] + table[k - i] for i in range(1, min(self.a, k - 1) + 1)
+                table[i] + table[k - i] for i in range(1, min(self._least, k - 1) + 1)
             )
         return table[n]
 
@@ -380,9 +399,17 @@ def check_submultiplicative(f: Filtration, bound: int) -> SubmultiplicativityRep
     for all i + j <= bound with i, j >= 1.  First violation is reported,
     never raised.
     """
+    for i, j, prod in _level_products(f, bound):
+        if not f.ideal_at(i + j).contains_ideal(prod):
+            return SubmultiplicativityReport(bound, False, (i, j))
+    return SubmultiplicativityReport(bound, True, None)
+
+
+def _level_products(
+    f: Filtration, bound: int
+) -> Iterator[tuple[int, int, MonomialIdeal]]:
+    """Yield (i, j, level(i) * level(j)) for 1 <= i <= j, i + j <= bound,
+    by rising i + j."""
     for total in range(2, bound + 1):
         for i in range(1, total // 2 + 1):
-            j = total - i
-            if not f.ideal_at(total).contains_ideal(f.ideal_at(i) * f.ideal_at(j)):
-                return SubmultiplicativityReport(bound, False, (i, j))
-    return SubmultiplicativityReport(bound, True, None)
+            yield i, total - i, f.ideal_at(i) * f.ideal_at(total - i)

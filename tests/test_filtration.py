@@ -13,6 +13,8 @@ import pytest
 from conftest import FILTRATION_KINDS, random_filtration, small_primary_ideal
 from filtmult import filtration as ft
 from filtmult import monomial as mo
+from filtmult import multiplicity as mu
+from filtmult import serialize as se
 
 
 def sqrt2_filtration():
@@ -420,6 +422,122 @@ class TestLevelRuleOracle:
                 got = f.ideal_at(n)
             assert depth["max"] <= 2 * n.bit_length()
             assert got == gen.power(n)
+
+
+def truncation_by_compositions(base, a, n):
+    """Level n of truncate(base, a) as the sum, over every composition of n
+    with parts <= a, of the product of the base levels at its parts."""
+    products = {}
+    total = None
+    for cut in itertools.product((False, True), repeat=n - 1):
+        parts, run = [], 1
+        for c in cut:
+            if c:
+                parts.append(run)
+                run = 0
+            run += 1
+        parts.append(run)
+        if max(parts) > a:
+            continue
+        key = tuple(sorted(parts))
+        if key not in products:
+            prod = mo.unit_ideal(base.dim)
+            for p in key:
+                prod = prod * base.ideal_at(p)
+            products[key] = prod
+        total = products[key] if total is None else total + products[key]
+    return total
+
+
+class TestLeastGeneratingLevel:
+    """A truncation regenerates from its largest level a* <= a that is not
+    the sum of the products of the levels below it."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_truncated_adic_regenerates_from_level_one(self, dim, a):
+        rng = random.Random(10 * dim + a)
+        for _ in range(3):
+            base = small_primary_ideal(rng, dim)
+            t = ft.truncate(ft.adic(base), a)
+            assert t._least == 1
+            assert all(t.ideal_at(n) == base.power(n) for n in range(1, 3 * a + 2))
+
+    def test_sqrt2_at_four_keeps_level_two(self):
+        # exponents 2, 3, 5, 6: level 2 is not level 1 squared, while
+        # 5 = 2 + 3 and 6 = 3 + 3
+        t = ft.truncate(sqrt2_filtration(), 4)
+        assert t._least == 2 and t.a == 4
+        assert [t.ideal_at(n).gens[0][0] for n in range(1, 9)] == [2, 3, 5, 6, 8, 9, 11, 12]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_levels_match_every_composition(self, dim, a):
+        rng = random.Random(1000 + 10 * dim + a)
+        bases = [random_filtration(rng, dim, kind) for kind in FILTRATION_KINDS]
+        bases.append(ft.rounded_valuation((1,) * dim, ft.root_scale(2)))
+        least = set()
+        for base in bases:
+            t = ft.truncate(base, a)
+            least.add(t._least)
+            for n in range(1, 13):
+                assert t.ideal_at(n) == truncation_by_compositions(base, a, n), (base.kind, n)
+        # a > 1 meets bases that regenerate from below a and ones that do not
+        assert a == 1 or len(least) > 1
+
+    def test_user_level_stays_everywhere_else(self):
+        t = ft.truncate(ft.adic(mo.ideal(1, [(2,)])), 20)
+        assert t._least == 1 and t.a == 20
+        assert se.filtration_to_json(t) == {
+            "kind": "truncated",
+            "base": {"kind": "adic", "ideal": {"dim": 1, "gens": [[2]]}},
+            "level": 20,
+        }
+        est = mu.multiplicity_estimate(t, mu.TRUNCATION_EXACT)
+        assert "exact along period 1, certified for i <= 20" in est.error_note
+        s = ft.truncate(sqrt2_filtration(), 4)
+        assert se.filtration_to_json(s)["level"] == 4
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_constructor_forms_only_the_base_checks_products(self, dim, monkeypatch):
+        count = [0]
+        real = mo.MonomialIdeal.__mul__
+
+        def counted(self, other):
+            count[0] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(mo.MonomialIdeal, "__mul__", counted)
+        for kind in FILTRATION_KINDS:
+            for a in (1, 3, 5):
+                base = random_filtration(random.Random(dim), dim, kind)
+                for n in range(1, a + 1):
+                    base.ideal_at(n)
+                count[0] = 0
+                ft.check_submultiplicative(base, a)
+                checked = count[0]
+                count[0] = 0
+                ft.truncate(base, a)
+                assert count[0] == checked, (kind, a)
+
+    def test_levels_read_in_order_take_one_product_each(self, monkeypatch):
+        # a* = 1, so past a each level is the one below it times level one
+        count = [0]
+        real = mo.MonomialIdeal.__mul__
+
+        def counted(self, other):
+            count[0] += 1
+            return real(self, other)
+
+        base = mo.ideal(2, [(2, 0), (1, 1), (0, 3)])
+        t = ft.truncate(ft.adic(base), 4)
+        for n in range(1, 5):
+            t.ideal_at(n)
+        monkeypatch.setattr(mo.MonomialIdeal, "__mul__", counted)
+        for n in range(5, 25):
+            t.ideal_at(n)
+        assert count[0] == 20
+        assert t.ideal_at(24) == base.power(24)
 
 
 class TestRescaling:

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from filtmult import polytope
+from filtmult import monomial, polytope
 from filtmult.monomial import (
     MonomialIdeal,
     _pure_power,
+    _undominated_pairs,
     ideal,
     maximal_ideal,
     minimalize,
@@ -183,6 +184,106 @@ def jittered_slice(rng, k):
     """The degree-k exponents in three variables, z raised by up to 2 at random."""
     return ideal(3, [(a, b, k - a - b + rng.randint(0, 2))
                      for a in range(k + 1) for b in range(k + 1 - a)])
+
+
+def plane_staircase(rng, count, step):
+    """A staircase of count plane points whose steps right and down are
+    each drawn from 1..step: a small step bound repeats and ties steps
+    often, a large one makes them irregular."""
+    x, y = rng.randint(0, 3), rng.randint(0, 3) + count * step
+    pts = []
+    for _ in range(count):
+        pts.append((x, y))
+        x, y = x + rng.randint(1, step), y - rng.randint(1, step)
+    return ideal(2, pts)
+
+
+class TestPlaneProduct:
+    """The plane product, which skips the sums a neighbouring pair's sum
+    lies under, against the naive filter of all pairwise sums."""
+
+    FLOOR = monomial._PRUNE_FLOOR
+
+    def check(self, I, J):
+        want = naive_product(I, J)
+        assert (I * J).gens == want
+        assert (J * I).gens == want
+
+    def test_homogeneous_powers_tie_every_step(self):
+        # every step of m^k is (1, 1): each neighbouring sum ties, so the
+        # rule's "at or below" and "strictly below" sides both come up
+        m = maximal_ideal(2)
+        sizes = set()
+        for a in range(1, 14):
+            for b in range(1, 14):
+                self.check(m.power(a), m.power(b))
+                sizes.add(min(a, b) + 1 >= self.FLOOR)
+        assert sizes == {True, False}
+
+    @pytest.mark.parametrize("s,t", [(1, 2), (2, 1), (3, 1), (2, 3), (1, 5), (3, 3)])
+    def test_near_linear_powers_of_unequal_slopes(self, s, t):
+        I = ideal(2, [(1, 0), (0, s)])
+        J = ideal(2, [(t, 0), (0, 1)])
+        for a in range(1, 12):
+            for b in (1, a, a + 3):
+                self.check(I.power(a), J.power(b))
+        # a bent staircase: two slopes in one factor
+        bent = ideal(2, [(0, 5), (1, 2), (3, 1), (6, 0)])
+        for a in range(1, 6):
+            self.check(bent.power(a), I.power(a + 2))
+
+    def test_random_irregular_staircases(self):
+        rng = random.Random(2203)
+        sizes = set()
+        for _ in range(300):
+            I, J = (plane_staircase(rng, rng.randint(1, 16), rng.choice((2, 3, 9))) for _ in range(2))
+            sizes.add(min(len(I.gens), len(J.gens)) >= self.FLOOR)
+            self.check(I, J)
+        assert sizes == {True, False}
+
+    def test_powers_of_random_primary_ideals(self):
+        rng = random.Random(2204)
+        for _ in range(40):
+            I = random_primary_ideal(rng, 2, 4)
+            J = random_primary_ideal(rng, 2, 4)
+            for a, b in ((2, 3), (4, 1), (5, 6)):
+                self.check(I.power(a), J.power(b))
+
+    def test_non_primary_antichains(self):
+        # no pure power on either axis, on one axis, or a single generator
+        rng = random.Random(2205)
+        for _ in range(200):
+            I = ideal(2, [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(rng.randint(1, 20))])
+            J = ideal(2, [(0, rng.randint(5, 30))] +
+                      [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(rng.randint(0, 20))])
+            assert not I.is_primary() and not J.is_primary()
+            self.check(I, J)
+            self.check(I, I)
+
+    def test_kept_columns_of_homogeneous_powers(self):
+        # m^40 * m^30: every middle row keeps one column and only the last
+        # keeps them all, so at most p + q of the p * q sums are formed
+        I, J = maximal_ideal(2).power(40), maximal_ideal(2).power(30)
+        blocks = _undominated_pairs(I.gens, J.gens)
+        assert sorted(g for rows, _ in blocks for g in rows) == list(I.gens)
+        assert len(blocks) == 3
+        assert sum(len(rows) * len(cols) for rows, cols in blocks) <= len(I.gens) + len(J.gens)
+        assert (I * J) == maximal_ideal(2).power(70)
+
+    def test_small_factors_build_no_step_table(self, monkeypatch):
+        calls = []
+        real = monomial._undominated_pairs
+
+        def counted(gens, others):
+            calls.append((len(gens), len(others)))
+            return real(gens, others)
+
+        monkeypatch.setattr(monomial, "_undominated_pairs", counted)
+        m = maximal_ideal(2)
+        small, big = m.power(self.FLOOR - 2), m.power(self.FLOOR - 1)
+        assert small * big == m.power(2 * self.FLOOR - 3) and calls == []
+        assert big * big == m.power(2 * self.FLOOR - 2)
+        assert calls == [(self.FLOOR, self.FLOOR)]
 
 
 class TestSpaceProduct:
