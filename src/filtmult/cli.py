@@ -51,6 +51,13 @@ _PARAM_KEYS = {
     "expected",
 }
 
+# Largest cutoff per ring dimension 1, 2, 3, 4; a larger dimension takes
+# the last.  A body reads every level up to the cutoff, so its cost grows
+# like cutoff^d.  At these caps `okounkov` on a pair of adic filtrations
+# (2 to 5 generators each, sigma all ones) took under 2 s on a 2-core VM
+# with Python 3.11.
+_CUTOFF_CAPS = (16384, 1024, 32, 12)
+
 # Expected-value sections and the keys each one takes.
 _EXPECTED_KEYS = {
     "coefficients": "{r} comma-separated nonnegative integers summing to {d}",
@@ -166,6 +173,9 @@ def validate(config: dict) -> tuple[ComponentModel | None, list[str]]:
     for key in ("trunc_level", "cutoff", "submult_bound"):
         if key in params and (not _is_int(params[key]) or params[key] < 1):
             problems.append(f"{key} must be a positive integer")
+    cap = _CUTOFF_CAPS[min(model.dim, len(_CUTOFF_CAPS)) - 1]
+    if _is_int(params.get("cutoff")) and params["cutoff"] > cap:
+        problems.append(f"cutoff {params['cutoff']} exceeds the cap {cap} in dimension {model.dim}")
     if "order" in params and (not _is_int(params["order"]) or params["order"] < 2):
         problems.append("order must be an integer of at least 2")
     elif params.get("backend", DIRECT) == DIRECT and "order" in params:

@@ -8,14 +8,18 @@ every dimension, and a body is the exact hull of the generators under
 the degree cap and their ray points (see ValueSemigroup.quotient_points).
 The hull runs on integers a*(L/i) over L = lcm(1..cutoff), and only on
 the feet that span the same orthant hull as all feet, with their ray
-points toward the common cap bound*L (see body).
+points toward the common cap bound*L (see body).  In the plane each
+level is first cut to the vertices of its own Newton polygon, on its
+small unscaled feet, so only a few points per level meet L.  The full
+simplex needs no hull: its vertices and its volume bound^d/d! are
+written down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from . import monomial, polytope
 from .filtration import Filtration
@@ -172,14 +176,26 @@ def body(sem: ValueSemigroup) -> OkounkovBody:
     polytope.orthant_extremes finds with sweeps.  Dimensions 3 and 4 take
     the feet above no other foot (polytope._minimal): orthant_extremes
     runs a facet hull of its own there, which costs more than it saves.
+
+    Per level.  F is the union of the scaled levels F_i, and the convex
+    hull of a union is the hull of the union of the parts' hulls, so
+    conv F + R^d_>=0 does not change when each F_i is replaced by any
+    E_i with conv E_i + R^d_>=0 = conv F_i + R^d_>=0.  Scaling by L/i is
+    linear and maps the orthant onto itself, so E_i may be found on the
+    level's own feet, before scaling.  In the plane E_i is the vertex
+    chain of the level's staircase (polytope._staircase_chain), on small
+    integers, and only those few points are scaled; a level of dimension
+    1 has one foot at most.
     """
     d = sem.dim
     den = lcm(*range(1, sem.cutoff + 1))
-    feet = {
-        tuple([c * (den // i) for c in g])
-        for i in range(1, sem.cutoff + 1)
-        for g in sem._feet(i)
-    }
+    feet = set()
+    for i in range(1, sem.cutoff + 1):
+        level = sem._feet(i)
+        if d == 2:
+            level = polytope._staircase_chain(level)
+        scale = den // i
+        feet.update(tuple([c * scale for c in g]) for g in level)
     if d <= 2:
         ext = polytope.orthant_extremes(feet)
     else:
@@ -197,13 +213,17 @@ def body(sem: ValueSemigroup) -> OkounkovBody:
 
 def full_simplex_body(dim: int, bound: int) -> polytope.RationalPolytope:
     """The simplex {x >= 0, sum x <= bound}: the body of the unconstrained
-    semigroup."""
-    verts = [tuple(Fraction(0) for _ in range(dim))]
-    for ax in range(dim):
-        v = [Fraction(0)] * dim
-        v[ax] = Fraction(bound)
-        verts.append(tuple(v))
-    return polytope.hull(dim, verts)
+    semigroup.  Its d+1 vertices are known, so no hull runs; they come in
+    the lexicographic order polytope.hull gives, the origin first and the
+    corner on the last axis next."""
+    zero = (Fraction(0),) * dim
+    corners = [zero[:k] + (Fraction(bound),) + zero[k + 1 :] for k in reversed(range(dim))]
+    return polytope.RationalPolytope(dim, (zero, *corners))
+
+
+def _simplex_volume(dim: int, bound: int) -> Fraction:
+    """Volume of the simplex {x >= 0, sum x <= bound}: bound^d/d!."""
+    return Fraction(bound**dim, factorial(dim))
 
 
 @dataclass(frozen=True)
@@ -230,7 +250,7 @@ def volume_identity_report(
 
 def _volume_identity(f: Filtration, sem: ValueSemigroup, ladder) -> VolumeIdentityReport:
     """volume_identity_report on the semigroup of f at sigma (1,)."""
-    hat_vol = polytope.volume(full_simplex_body(f.dim, sem.bound))
+    hat_vol = _simplex_volume(f.dim, sem.bound)
     body_vol = body(sem).volume()
     diff = hat_vol - body_vol
     est = _WeightedGrowth([(1, [f])], DIRECT, ladder=ladder).growth((1,))
@@ -286,11 +306,11 @@ def _origin_collapse(
         return OriginCollapseReport(
             cutoff, tolerance, False, None, None, None, None
         )
-    hat = full_simplex_body(f.dim, bound)
+    hat_vol = _simplex_volume(f.dim, bound)
     half_cut = max(1, cutoff // 2)
     # The half-cutoff semigroup is a prefix of sem's levels.
-    gap_half = polytope.volume(hat) - body(replace(sem, cutoff=half_cut)).volume()
-    gap_full = polytope.volume(hat) - body(sem).volume()
+    gap_half = hat_vol - body(replace(sem, cutoff=half_cut)).volume()
+    gap_full = hat_vol - body(sem).volume()
     return OriginCollapseReport(
         cutoff=cutoff,
         tolerance=tolerance,

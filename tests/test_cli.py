@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,39 @@ class TestValidateDiagnostics:
     def test_clean_config_has_no_problems(self):
         assert cli.validate(self.base())[1] == []
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_cutoff_cap_per_dimension(self, dim):
+        cap = cli._CUTOFF_CAPS[min(dim, 4) - 1]
+        gens = [[int(j == k) for j in range(dim)] for k in range(dim)]
+        cfg = {"model": one(adic({"dim": dim, "gens": gens})), "params": {"cutoff": cap}}
+        assert cli.validate(cfg)[1] == []
+        cfg["params"]["cutoff"] = cap + 1
+        want = f"cutoff {cap + 1} exceeds the cap {cap} in dimension {dim}"
+        assert cli.validate(cfg)[1] == [want]
+
+    @pytest.mark.parametrize("command", ["okounkov", "verify"])
+    def test_oversized_cutoff_exits_at_once(self, capsys, tmp_path, command):
+        # a plane adic body at cutoff 10^6 used to run for minutes
+        cfg = self.base()
+        cfg["params"]["cutoff"] = 10**6
+        path = write_config(tmp_path, cfg)
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, [command, "--config", path])
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        assert err == "config error: cutoff 1000000 exceeds the cap 1024 in dimension 2\n"
+
+    def test_shipped_configs_stay_under_the_cap(self):
+        # the defaults are 16, and 8 for verify's Minkowski check
+        paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert len(paths) == 4
+        for path in paths:
+            cfg = json.loads(path.read_text(encoding="utf-8"))
+            model, problems = cli.validate(cfg)
+            assert problems == []
+            cap = cli._CUTOFF_CAPS[min(model.dim, 4) - 1]
+            assert cfg["params"].get("cutoff", 16) <= cap
+
 
 class TestCommandsOnShippedConfigs:
     def test_colength(self, capsys):
@@ -549,6 +583,11 @@ class TestReadme:
         readme = " ".join(self.README.read_text(encoding="utf-8").split())
         knobs = readme.split("selects the backend and its knobs (", 1)[1].split(")", 1)[0]
         assert set(re.findall(r"`(\w+)`", knobs)) == cli._PARAM_KEYS - {"backend", "expected"}
+
+    def test_knob_table_lists_the_cutoff_caps(self):
+        caps = cli._CUTOFF_CAPS
+        listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
+        assert f"at most {listed} in dimensions 1, 2, 3 and 4" in self.knob_rows("okounkov")
 
     def knob_rows(self, command):
         """The rows of README's knob table whose first cell names command."""

@@ -167,6 +167,15 @@ class TestBody:
         assert ok.body(sem).volume() == F(1, 2)
         assert ok.full_simplex_body(2, 1).volume() == F(1, 2)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_simplex_needs_no_hull(self, dim):
+        # the vertices come in hull's order, and the volume is bound^d/d!
+        for bound in range(1, 7):
+            corners = [tuple(bound * (j == k) for j in range(dim)) for k in range(dim)]
+            want = pt.hull(dim, [(0,) * dim, *corners])
+            assert ok.full_simplex_body(dim, bound) == want
+            assert ok._simplex_volume(dim, bound) == pt.volume(want)
+
     def test_sqrt2_interval_at_depth_64(self):
         sem = ok.value_semigroup([sqrt2_filtration()], (1,), 2, 64)
         b = ok.body(sem)
@@ -322,6 +331,24 @@ class TestExtremeFeet:
             for ext in (pt.orthant_extremes(feet), pt._minimal(sorted(feet), dim)):
                 assert pt.hull(dim, with_rays(ext, cap, dim)).vertices == want
 
+    def test_plane_levels_reach_the_final_sweep_as_their_vertices(self, monkeypatch):
+        # Each level of adic(m) is a segment: its 2 end feet stand for all
+        # i + 1 of them, so the final sweep sees 2 points per level at most.
+        # Scaling every foot first handed it 2,807 distinct points.
+        sem = ok.value_semigroup([maximal_adic()], (1,), 1, 96)
+        assert sum(len(sem._feet(i)) for i in range(1, 97)) == 4752
+        seen = []
+        extremes = pt.orthant_extremes
+
+        def counted(points):
+            seen.append(len(points))
+            return extremes(points)
+
+        monkeypatch.setattr(pt, "orthant_extremes", counted)
+        b = ok.body(sem)
+        assert len(seen) == 1 and seen[0] <= 2 * 96
+        assert b.body.vertices == ((F(0), F(1)), (F(1), F(0)))
+
     @pytest.mark.parametrize("cutoff", [96, 192])
     @pytest.mark.parametrize(
         "f",
@@ -441,9 +468,10 @@ class TestMinkowski:
         assert rep.containment_pass
 
     def test_builds_each_facet_hull_once(self, monkeypatch):
-        # One hull each for the three semigroup bodies, the Minkowski sum,
-        # its clip and the simplex, plus the hull of body_both's vertices,
-        # which every containment test reads.
+        # One hull each for the three semigroup bodies, the Minkowski sum
+        # and its clip, plus the hull of body_both's vertices, which every
+        # containment test reads.  The simplex's vertices are known, so it
+        # needs none.
         calls = []
         facets = pt._facets
 
@@ -458,7 +486,7 @@ class TestMinkowski:
         ]
         rep = ok.minkowski_checks(fs, (1, 0), (0, 1), 3)
         assert rep.contained_vertices > 1
-        assert len(calls) == 7
+        assert len(calls) == 6
         assert len(set(calls)) == len(calls)
 
     def test_zero_sigma_collapses_trivially(self):

@@ -232,6 +232,24 @@ class TestOrthantGeometry:
         ext = polytope.orthant_extremes([(2, 0), (1, 1), (0, 2)])
         assert sorted(ext) == [(0, 2), (2, 0)]
 
+    def test_staircase_chain_matches_orthant_extremes(self):
+        # The chain takes a staircase as it is, with no sort and no
+        # dominance pass; on one it agrees with the full sweep.
+        rng = random.Random(23)
+        powers = [ideal(2, [(1, 0), (0, 1)]), ideal(2, [(2, 0), (0, 1)])]
+        stairs = [[(3, 5)], [(0, 2), (1, 0)], [(0, 4), (1, 2), (2, 0)]]
+        stairs += [list(I.power(k).gens) for I in powers for k in (1, 2, 7)]
+        while len(stairs) < 300:
+            n = rng.randint(1, 14)
+            pts = {(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(n)}
+            if rng.random() < 0.3:
+                # collinear runs: ties in the turn test
+                a, b = rng.randint(0, 3), rng.randint(1, 3)
+                pts |= {(a + b * t, 3 * b - t) for t in range(4)}
+            stairs.append(list(polytope._minimal(sorted(pts), 2)))
+        for stair in stairs:
+            assert polytope._staircase_chain(stair) == polytope.orthant_extremes(stair)
+
     def test_covolume_staircase(self):
         assert polytope.orthant_covolume(((1, 0), (0, 1)), 2) == F(1, 2)
         assert polytope.orthant_covolume(((2, 0), (0, 1)), 2) == 1
