@@ -186,6 +186,11 @@ def validate(config: dict) -> tuple[ComponentModel | None, list[str]]:
             problems.append(f"order {params['order']} exceeds the {rungs} ladder rungs")
     if "backend" in params and params["backend"] not in (DIRECT, TRUNCATION_EXACT):
         problems.append(f"backend must be {DIRECT!r} or {TRUNCATION_EXACT!r}")
+    # a knob the backend never reads would silently do nothing
+    backend = params.get("backend", DIRECT)
+    for key, unread_by in (("trunc_level", DIRECT), ("order", TRUNCATION_EXACT)):
+        if key in params and backend == unread_by:
+            problems.append(f"{key} is not read by the {backend!r} backend")
     for key in ("tolerance", "zero_threshold"):
         if key in params:
             try:

@@ -133,7 +133,8 @@ class Filtration:
         memo = self._cache
         k = n - 1
         if not all(map(memo.__contains__, range(n - a, n))):
-            tops = [t for t in memo if n <= 2 * t < 2 * n]
+            # a snapshot of the levels: other threads may add some meanwhile
+            tops = [t for t in list(memo) if n <= 2 * t < 2 * n]
             tops = [t for t in tops if all(map(memo.__contains__, range(t - a + 1, t)))]
             k = max(tops, default=max(n // 2, a))
         acc = self.ideal_at(k) * self.ideal_at(n - k)

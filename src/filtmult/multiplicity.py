@@ -5,9 +5,9 @@ the tail of a ladder of rungs m; certified periods turn truncated
 filtrations into exact covolume computations.  The exact growth at n is
 the covolume of the Minkowski sum sum_j n_j*NP(I_j) of the level-s Newton
 polyhedra, since NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I).  This
-module only resolves the levels: their generators at each support (the
-filtrations with n_j > 0) go to polytope._covolume_form, whose one facet
-hull per support serves every n.  No product ideal is formed.
+module only resolves the levels: the generators of every filtration's
+level go to polytope._covolume_form, whose one form per part serves every
+n >= 0, zero weights included.  No product ideal is formed.
 Sampling the growth function on a unisolvent grid and solving the exact
 Vandermonde system extracts mixed multiplicities.  Both fits are linear in
 the sampled values, with weights fixed by the sample points alone: the
@@ -22,7 +22,6 @@ all come from one weighted growth pipeline.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -178,23 +177,19 @@ def exact_growth(fs, n, s: int) -> Fraction:
     covolume of the Newton polyhedron of prod_j I_j^{n_j}, scaled by s^d.
     No product ideal is formed.  Newton polyhedra turn products into
     Minkowski sums, NP(IJ) = NP(I) + NP(J) and NP(I^k) = k*NP(I), so that
-    polyhedron is sum_j n_j*NP(I_j), a mixed covolume of the levels.  It is
-    read off the covolume form of the levels with n_j > 0 (_level_form),
-    built here for this one n; the exact backend builds each form once per
-    support and reads every grid point from it.
+    polyhedron is sum_j n_j*NP(I_j), a mixed covolume of the levels, read
+    off the covolume form of all the levels (_level_form), zeros included.
     """
     fs = list(fs)
     n = _weights(n, len(fs))
     d = _common_dim(fs)
-    support = tuple(j for j, nj in enumerate(n) if nj)
-    form = _level_form(fs, support, s, d)
-    return polytope._form_covolume(form, [n[j] for j in support], d) / s**d
+    return polytope._form_covolume(_level_form(fs, s, d), n, d) / s**d
 
 
-def _level_form(fs, support, s: int, d: int) -> tuple[tuple, tuple]:
-    """The covolume form of the level-s ideals at the indices in support,
-    each checked to have a finite covolume."""
-    levels = [fs[j].ideal_at(s) for j in support]
+def _level_form(fs, s: int, d: int) -> tuple[tuple, tuple]:
+    """The covolume form of the level-s ideals, each checked to have a
+    finite covolume."""
+    levels = [f.ideal_at(s) for f in fs]
     for level in levels:
         level._check_covolume()
     return polytope._covolume_form([level.gens for level in levels], d)
@@ -262,15 +257,12 @@ class _WeightedGrowth:
     growth at n; a bare list of filtrations is the single part of weight
     one.  Setup happens once per instance: the exact backend resolves every
     input under one rule (truncated at trunc_level when it is given,
-    otherwise required to be truncated already) and certifies each part's
-    common period; the direct backend sums the parts' ladders rung by rung
-    and extrapolates the sum.  Growth values and the mixed report are
+    otherwise required to be truncated already), certifies each part's
+    common period and builds the part's one covolume form, which serves
+    every n >= 0; the direct backend sums the parts' ladders rung by rung
+    and extrapolates the sum.  Growth values and mixed reports are
     memoized per instance, so mixed() and multiplicities() on one instance
-    share their grid points and the report is fitted once.  The exact
-    backend also keeps one covolume form per part and support (the indices
-    with n_j > 0), so one facet hull serves every grid point on it; the
-    forms are keyed by positions in this instance's filtrations, so
-    restricted() starts its own.
+    share their grid points and each report is fitted once.
     """
 
     def __init__(
@@ -289,11 +281,9 @@ class _WeightedGrowth:
         self.r = counts.pop()
         self.backend = backend
         self._growth: dict[tuple[int, ...], LimitEstimate] = {}
-        self._forms: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        self._mixed: MixedMultiplicityReport | None = None
+        self._mixed: dict[tuple[int, ...], MixedMultiplicityReport] = {}
         if backend == TRUNCATION_EXACT:
-            self.parts = []
-            notes = []
+            self.parts, self._forms, notes = [], [], []
             for w, fs in parts:
                 if trunc_level is not None:
                     fs = [truncate(f, trunc_level) for f in fs]
@@ -304,6 +294,7 @@ class _WeightedGrowth:
                 # every multiple of a period is one too
                 s = math.lcm(*(noetherian_period(f) for f in fs))
                 self.parts.append((w, fs, s))
+                self._forms.append(_level_form(fs, s, self.d))
                 bound = max(_NOTE_BOUND, min(f.a for f in fs))
                 notes.append(f"exact along period {s}, certified for i <= {bound}")
             self.note = "; ".join(dict.fromkeys(notes))
@@ -314,14 +305,6 @@ class _WeightedGrowth:
         else:
             raise ValueError(f"unknown backend {backend!r}")
 
-    def restricted(self, keep) -> _WeightedGrowth:
-        """This pipeline over the filtrations at the indices in keep, sharing
-        their resolved filtrations and periods (a period of all is one of each)."""
-        sub = copy.copy(self)
-        sub.r, sub._growth, sub._forms, sub._mixed = len(keep), {}, {}, None
-        sub.parts = [(w, [fs[j] for j in keep], *rest) for w, fs, *rest in self.parts]
-        return sub
-
     def growth(self, n) -> LimitEstimate:
         """Limit of the weight-summed ell(R/product at m*n)/m^d, memoized."""
         n = _weights(n, self.r)
@@ -331,14 +314,9 @@ class _WeightedGrowth:
 
     def _limit(self, n: tuple[int, ...]) -> LimitEstimate:
         if self.backend == TRUNCATION_EXACT:
-            support = tuple(j for j, nj in enumerate(n) if nj)
-            weights = [n[j] for j in support]
             value = Fraction(0)
-            for k, (w, fs, s) in enumerate(self.parts):
-                if (k, support) not in self._forms:
-                    self._forms[k, support] = _level_form(fs, support, s, self.d)
-                form = self._forms[k, support]
-                value += w * polytope._form_covolume(form, weights, self.d) / s**self.d
+            for (w, _, s), form in zip(self.parts, self._forms):
+                value += w * polytope._form_covolume(form, n, self.d) / s**self.d
             return LimitEstimate(
                 value=value,
                 lower_evidence=value,
@@ -353,14 +331,18 @@ class _WeightedGrowth:
             ]
         return limit_estimate(total, self.order)
 
-    def mixed(self) -> MixedMultiplicityReport:
+    def mixed(self, keep=None) -> MixedMultiplicityReport:
         """Fit the growth polynomial on the sample grid, value and lower
         evidence alike, and scale the coefficient of type t by prod(t_j!);
-        memoized."""
-        if self._mixed is None:
-            d, r = self.d, self.r
+        memoized.  Over the filtrations at the indices in keep (all by
+        default): each grid point of len(keep) filtrations is read with the
+        others at level 0."""
+        keep = tuple(range(self.r)) if keep is None else tuple(keep)
+        if keep not in self._mixed:
+            d, r = self.d, len(keep)
             grid = sample_grid(d, r)
-            ests = [self.growth(n) for n in grid]
+            at = [dict(zip(keep, p)) for p in grid]
+            ests = [self.growth([a.get(j, 0) for j in range(self.r)]) for a in at]
             values = fit_homogeneous(grid, [e.value for e in ests], d, r)
             lower = fit_homogeneous(grid, [e.lower_evidence for e in ests], d, r)
             note = "; ".join(dict.fromkeys(e.error_note for e in ests))
@@ -373,10 +355,10 @@ class _WeightedGrowth:
                 )
                 for t in values
             }
-            self._mixed = MixedMultiplicityReport(
+            self._mixed[keep] = MixedMultiplicityReport(
                 r=r, d=d, coeffs=coeffs, backend=self.backend
             )
-        return self._mixed
+        return self._mixed[keep]
 
     def multiplicities(self) -> tuple[LimitEstimate, ...]:
         """Multiplicity of each filtration: d! times the growth at its unit
@@ -497,10 +479,10 @@ def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> Positivity
     positive multiplicity.  On an analytically irreducible ring the
     coefficient of type t is positive iff t survives, and vanishes
     otherwise; the surviving coefficients are those of the reduced
-    instance, the same pipeline restricted to the positive indices, which
-    is fitted only when some but not all indices are positive.  Exact
-    values are compared with 0; ladder estimates within zero_threshold of
-    a value count as equal to it."""
+    instance, the same growth read with the other filtrations at level 0
+    (mixed(positives)), which is fitted only when some but not all indices
+    are positive.  Exact values are compared with 0; ladder estimates
+    within zero_threshold of a value count as equal to it."""
     tol = Fraction(0) if growth.backend == TRUNCATION_EXACT else zero_threshold
     report = growth.mixed()
     d, r = report.d, report.r
@@ -521,7 +503,7 @@ def _positivity(growth: _WeightedGrowth, zero_threshold: Fraction) -> Positivity
         # Embedding a sub-type into the full type (zeros at the dropped
         # indices) keeps the reverse-lex order of type_vectors, so the
         # reduced coefficients pair with the survivors in order.
-        sub = growth.restricted(positives).mixed().coeffs.values()
+        sub = growth.mixed(positives).coeffs.values()
         mismatches = [
             (t, v, e.value)
             for (t, v), e in zip(survivors, sub, strict=True)

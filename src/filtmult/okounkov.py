@@ -43,6 +43,9 @@ def degree_bound(fs, sigma) -> int:
     prod = product_ideal_at(fs, sigma)
     if prod.is_unit():
         return 1
+    if not prod.is_primary():
+        # no power of m lies in it, so the search below would never end
+        raise ValueError(f"the product of the levels at sigma {sigma} is not m-primary")
     d = prod.dim
     mx = monomial.maximal_ideal(d)
     c, power = 1, mx

@@ -29,9 +29,9 @@ keeps those above no other one with the package's one antichain kernel
 triangulates the bounded faces once: by the staircase sweep of
 orthant_extremes in dimensions 1 and 2, and off one facet hull of the kept
 points and one far point per axis, beyond them all, in dimensions 3 and 4.
-_form_covolume then reads covol(sum_j n_j*P_j) at any weights n > 0.
-orthant_covolume is the one-set form at weight 1, and the exact growth in
-multiplicity reads one form per support.
+_form_covolume then reads covol(sum_j n_j*P_j) at any weights n >= 0,
+zeros included.  orthant_covolume is the one-set form at weight 1, and the
+exact growth in multiplicity reads one form per part.
 """
 
 from __future__ import annotations
@@ -488,7 +488,7 @@ def _minimalize3(pts: list[tuple]) -> tuple[tuple, ...]:
 
 
 def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tuple, tuple]:
-    """The simplices from which covol(sum_j n_j*P_j) is read at every n > 0,
+    """The simplices from which covol(sum_j n_j*P_j) is read at every n >= 0,
     for P_j = conv(G_j) + positive orthant and the integer point sets G_j.
 
     Lemma.  Let P_j = conv(G_j) + R^d_{>=0}, for G_j the generators of
@@ -512,6 +512,13 @@ def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tup
       level holds a pure power of every variable, and add no volume.
     So covol(P(n)) = sum_sigma eps_sigma*det(phi_n(sigma))/d!, where
     eps_sigma is the sign of sigma's determinant at n = 1.
+
+    That sum F(n) is a polynomial in n, and it holds where some n_j = 0
+    too.  For n0 >= 0 with an entry > 0, Q = sum_j P_j (in the orthant) and
+    q0 in Q, P(n0) + t*q0 lies in P(n0) + t*Q = P(n0 + t*1), inside P(n0),
+    for t > 0; the translate's covolume tends to covol(P(n0)) as t -> 0+,
+    so F(n0) = lim F(n0 + t*1) = covol(P(n0)).  At n = 0 every image is
+    the origin and F(0) = 0.  So one form answers every n >= 0.
 
     The sets are folded in one at a time, keeping one decomposition per
     distinct sum and only the sums above no other one (_minimal): a sum

@@ -302,8 +302,8 @@ def test_9_dimension_four_exact_multiplicity():
 
 
 def test_10_exact_mixed_multiplicities_from_minkowski_sums():
-    # The exact backend reads every grid point off one facet hull per
-    # support instead of multiplying ideal powers out; both values are exact.
+    # The exact backend reads every grid point off one facet hull of the
+    # report instead of multiplying ideal powers out; both values are exact.
     with budget(3.0):
         I = mo.ideal(3, [(3, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
         J = mo.ideal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
@@ -378,7 +378,7 @@ def test_13_deep_plane_bodies_hull_their_extreme_feet():
 
 def test_14_dim4_three_filtration_exact_report_from_one_hull_per_support():
     # Every grid point of the 15-point dim-4 grid reads its growth off the
-    # one covolume form of the full support; a facet hull per grid point took
+    # one covolume form of the three levels; a facet hull per grid point took
     # about 0.37 s for this report.
     gens = [
         [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 1)],

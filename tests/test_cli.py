@@ -173,6 +173,10 @@ class TestInputProblems:
                 " integers summing to 2: '1,1,0'",
             ),
             ({"backend": "direct", "order": 4}, "order 4 exceeds the 3 ladder rungs"),
+            # a knob the backend never reads would silently do nothing
+            ({"backend": "direct"}, "trunc_level is not read by the 'direct' backend"),
+            ({"order": 7}, "order is not read by the 'truncation-exact' backend"),
+            ({"backend": "direct", "trunc_level": True}, "trunc_level must be a positive integer"),
             (
                 {"backend": "direct", "ladder": [8, 16, 32, 64], "order": 5},
                 "order 5 exceeds the 4 ladder rungs",

@@ -13,6 +13,7 @@ from filtmult import filtration as ft
 from filtmult import linalg
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
+from filtmult import polytope as pt
 
 from conftest import FILTRATION_KINDS, random_filtration, vertex_sum_growth
 
@@ -263,19 +264,24 @@ class TestMinkowskiGrowthOracle:
         for n in mu.sample_grid(d, len(fs)):
             assert pipe.growth(n).value == product_covolume_growth(fs, n, s), n
         if len(fs) > 1:
+            # the reduced fit reads the same form with the others at level 0
             keep = sorted(rng.sample(range(len(fs)), rng.randint(1, len(fs) - 1)))
-            sub = pipe.restricted(keep)
             fresh = mu._WeightedGrowth([(1, [fs[j] for j in keep])], mu.TRUNCATION_EXACT)
             for n in mu.sample_grid(d, len(keep)):
-                assert sub.growth(n).value == fresh.growth(n).value, (keep, n)
+                at = dict(zip(keep, n))
+                embedded = tuple(at.get(j, 0) for j in range(len(fs)))
+                assert pipe.growth(embedded).value == fresh.growth(n).value, (keep, n)
+            got = {t: e.value for t, e in pipe.mixed(keep).coeffs.items()}
+            assert got == {t: e.value for t, e in fresh.mixed().coeffs.items()}, keep
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_sub_pipeline_forms_never_answer_the_parent(self, d):
-        # Forms are keyed by (part, support positions).  restricted() copies
-        # the pipeline, so the sub-pipeline over filtrations (1, 2) computes
-        # first, under its own positions (0, 1); the parent must then still
-        # read its own filtrations at every support, unit vectors included,
-        # in every weighted part.
+    def test_reduced_fits_leave_the_parent_growth_right(self, d):
+        # One form per part serves every n >= 0.  The reduced fits over
+        # filtrations (1, 2) and (0,) compute first, reading the form with the
+        # others at level 0; the parent must then still read its own
+        # filtrations right at every support, unit vectors included, in
+        # every weighted part, and each reduced fit must equal a pipeline
+        # built on its filtrations alone.
         rng = random.Random(4100 + d)
         kinds = rng.sample(FILTRATION_KINDS, 3)
         amax = 2 if d < 3 else 1
@@ -284,9 +290,7 @@ class TestMinkowskiGrowthOracle:
             for w in (2, 3)
         ]
         pipe = mu._WeightedGrowth(parts, mu.TRUNCATION_EXACT)
-        sub = pipe.restricted([1, 2])
-        sub.mixed()
-        sub.multiplicities()
+        reduced = {keep: pipe.mixed(keep) for keep in ((1, 2), (0,))}
 
         def want(n):
             return sum(w * product_covolume_growth(fs, n, s) for w, fs, s in pipe.parts)
@@ -300,6 +304,35 @@ class TestMinkowskiGrowthOracle:
         units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
         got = [e.value for e in pipe.multiplicities()]
         assert got == [math.factorial(d) * want(n) for n in units]
+        for keep, rep in reduced.items():
+            fresh = mu._WeightedGrowth(
+                [(w, [fs[j] for j in keep]) for w, fs in parts], mu.TRUNCATION_EXACT
+            )
+            assert rep.r == len(keep)
+            want_coeffs = {t: e.value for t, e in fresh.mixed().coeffs.items()}
+            assert {t: e.value for t, e in rep.coeffs.items()} == want_coeffs, keep
+
+    def test_one_form_serves_the_report_and_the_multiplicities(self, monkeypatch):
+        # Every grid point and unit vector reads the one form of the part,
+        # built over all three levels.
+        calls = []
+        build = pt._covolume_form
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(pt, "_covolume_form", counted)
+        m = mo.maximal_ideal(2)
+        fs = [
+            ft.adic(m),
+            ft.fixed_plus_adic(mo.ideal(2, [(1, 0)]), m),
+            ft.adic(mo.ideal(2, [(2, 0), (0, 1)])),
+        ]
+        pipe = mu._WeightedGrowth([(1, fs)], mu.TRUNCATION_EXACT, trunc_level=1)
+        pipe.mixed()
+        pipe.multiplicities()
+        assert len(calls) == 1
 
     def test_zero_weights_give_zero(self):
         f = ft.truncate(maximal_adic(), 1)
@@ -317,8 +350,9 @@ def _grid_and_supports(rng, d, r):
 
 
 class TestGrowthForm:
-    """One covolume form per support against sums of level vertices (one
-    fresh hull per value) and, where small, product ideals."""
+    """One covolume form per part, read at every support, against sums of
+    level vertices (one fresh hull per value) and, where small, product
+    ideals."""
 
     @pytest.mark.parametrize("d,r", [(d, r) for d in (1, 2, 3, 4) for r in (1, 2, 3)])
     def test_random_filtrations_match_vertex_sums(self, d, r):
@@ -393,7 +427,9 @@ class TestExactErrorPaths:
         f = ft.adic(mo.maximal_ideal(5))
         with pytest.raises(ValueError, match="geometric operations are limited to dimension 4"):
             mu.mixed_multiplicities([f], trunc_level=1)
-        assert mu.exact_growth([f], (0,), 1) == 0
+        # every level is read, one at weight 0 too
+        with pytest.raises(ValueError, match="geometric operations are limited to dimension 4"):
+            mu.exact_growth([f], (0,), 1)
 
     def test_non_primary_level_is_refused(self):
         class PowersOfX(ft.Filtration):
@@ -407,7 +443,9 @@ class TestExactErrorPaths:
             mu.mixed_multiplicities(pair, trunc_level=1)
         with pytest.raises(ValueError, match="covolume is finite only for primary ideals"):
             mu.exact_growth(pair, (1, 1), 1)
-        assert mu.exact_growth(pair, (1, 0), 1) == F(1, 2)
+        # every level is read, one at weight 0 too
+        with pytest.raises(ValueError, match="covolume is finite only for primary ideals"):
+            mu.exact_growth(pair, (1, 0), 1)
 
 
 class TestCommonPeriod:
@@ -613,9 +651,9 @@ class TestPositivityReport:
 
 
 class StubPipeline:
-    """What the positivity report reads of a growth pipeline: a backend, a
-    mixed() report with crafted coefficients, and restricted(keep), which
-    records each call and hands back the reduced instance."""
+    """What the positivity report reads of a growth pipeline: a backend and
+    mixed(keep): with no keep a report with crafted coefficients, with one
+    the reduced report, each such call recorded."""
 
     def __init__(self, backend, d, values, reduced=None):
         self.backend = backend
@@ -624,18 +662,18 @@ class StubPipeline:
         self.reduced = reduced
         self.kept = []
 
-    def mixed(self):
-        r = len(next(iter(self.values)))
-        assert list(self.values) == list(mu.type_vectors(self.d, r))
+    def mixed(self, keep=None):
+        values = self.values
+        if keep is not None:
+            self.kept.append(list(keep))
+            values = self.reduced
+        r = len(next(iter(values)))
+        assert list(values) == list(mu.type_vectors(self.d, r))
         coeffs = {
             t: mu.LimitEstimate(F(v), F(v), self.backend, "crafted")
-            for t, v in self.values.items()
+            for t, v in values.items()
         }
         return mu.MixedMultiplicityReport(r=r, d=self.d, coeffs=coeffs, backend=self.backend)
-
-    def restricted(self, keep):
-        self.kept.append(list(keep))
-        return StubPipeline(self.backend, self.d, self.reduced)
 
 
 BOTH_BACKENDS = pytest.mark.parametrize("backend", [mu.TRUNCATION_EXACT, mu.DIRECT])

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +47,20 @@ class TestDegreeBound:
             ok.degree_bound([maximal_adic()], (1, 1))
         with pytest.raises(ValueError):
             ok.degree_bound([maximal_adic()], (-1,))
+
+    def test_non_primary_product_is_refused_at_once(self):
+        # no power of m lies in (x^n), so a search for one would never end
+        class PowersOfX(ft.Filtration):
+            kind = "powers-of-x"
+
+            def _level(self, n):
+                return mo.ideal(2, [(n, 0)])
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match=re.escape("at sigma (1, 1) is not m-primary")):
+            ok.degree_bound([maximal_adic(), PowersOfX(2)], (1, 1))
+        assert time.monotonic() - t0 < 1.0
+        assert ok.degree_bound([maximal_adic(), PowersOfX(2)], (1, 0)) == 1
 
     def test_shared_bound_doubles_the_max(self):
         got = ok.shared_degree_bound([maximal_adic()], [(1,), (2,), (3,)])

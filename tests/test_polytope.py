@@ -387,14 +387,21 @@ class TestFacetHullAgainstOracles:
         # one form serves every weight vector: at each n it must equal the
         # covolume of the sums of n_j times one point of each set, read off
         # one fresh per-point far-point hull of those sums (the LP oracle is
-        # too slow for them)
+        # too slow for them).  Weights of 0 drop their sets from the sums.
         rng = random.Random(41 * dim)
+        zeros = random.Random(43 * dim)
         for _ in range(count):
             sets = [random_primary_gens(rng, dim, 3) for _ in range(rng.randint(1, 3))]
             form = polytope._covolume_form(sets, dim)
-            for _ in range(3):
-                n = [rng.randint(1, 3) for _ in sets]
-                want = far_point_covolume(_weighted_sums(sets, n, dim), dim)
+            ns = [[rng.randint(1, 3) for _ in sets] for _ in range(3)]
+            while len(ns) < 6:
+                n = [zeros.randint(0, 3) for _ in sets]
+                if any(n):
+                    ns.append(n)
+            for n in ns:
+                on = [(g, nj) for g, nj in zip(sets, n) if nj]
+                sums = _weighted_sums([g for g, _ in on], [nj for _, nj in on], dim)
+                want = far_point_covolume(sums, dim)
                 assert polytope._form_covolume(form, n, dim) == want, (sets, n)
 
     def test_covolume_form_on_seeded_powers(self):
