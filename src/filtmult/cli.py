@@ -58,6 +58,13 @@ _PARAM_KEYS = {
 # with Python 3.11.
 _CUTOFF_CAPS = (16384, 1024, 32, 12)
 
+# Deepest level a ladder may read, per ring dimension 1, 2, 3, 4, the last
+# for larger ones: max(ladder) for `multiplicity`, and (d+1)*max(ladder),
+# the grid point (d+1, 1, ..., 1), for a mixed report.  At these caps `mixed`
+# on a pair of adic, fixed-plus-adic, truncated or rounded-valuation
+# filtrations took under 2 s on a 2-core VM with Python 3.11.
+_LADDER_CAPS = (524288, 8192, 64, 20)
+
 # Expected-value sections and the keys each one takes.
 _EXPECTED_KEYS = {
     "coefficients": "{r} comma-separated nonnegative integers summing to {d}",
@@ -219,6 +226,35 @@ def validate(config: dict) -> tuple[ComponentModel | None, list[str]]:
                     except ValueError:
                         problems.append(f"expected {section}[{k}] is not a rational: {v!r}")
     return model, problems
+
+
+def _command_problems(model: ComponentModel, params: dict, command: str) -> list[str]:
+    """The size rules that depend on the command, for a config validate
+    passed: the deepest level a ladder reads (on the exact backend only
+    verify's volume identity reads one), and the level of the summed body
+    of verify's Minkowski check."""
+    d, problems = model.dim, []
+    ladder = params.get("ladder", list(DEFAULT_LADDER))
+    single = _single_component(model) is not None
+    if params.get("backend", DIRECT) == DIRECT:
+        reach = {"multiplicity": 1, "mixed": d + 1, "verify": d + 1, "example1": d + 1}
+        depth = reach.get(command, 0) * max(ladder)
+    else:
+        depth = max(ladder) if command == "verify" and single and model.r == 1 else 0
+    cap = _LADDER_CAPS[min(d, len(_LADDER_CAPS)) - 1]
+    if depth > cap:
+        problems.append(
+            f"ladder {ladder} reads level {depth} for {command}, above the cap {cap}"
+            f" in dimension {d}"
+        )
+    cutoff = params.get("cutoff", 0)
+    cap = _CUTOFF_CAPS[min(d, len(_CUTOFF_CAPS)) - 1]
+    if command == "verify" and single and model.r >= 2 and 2 * cutoff > cap:
+        problems.append(
+            f"cutoff {cutoff} builds verify's summed body at level {2 * cutoff},"
+            f" above the cap {cap} in dimension {d}"
+        )
+    return problems
 
 
 def _single_component(model: ComponentModel):
@@ -547,6 +583,8 @@ def main(argv=None) -> int:
             # the built-in model replaces any given one; params are checked against it
             config["model"] = serialize.model_to_json(two_branch_model())
         model, problems = validate(config)
+        if not problems:
+            problems = _command_problems(model, config.get("params", {}), ns.command)
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)

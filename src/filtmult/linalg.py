@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Small dense problems only: determinants for the geometry kernel in
-dimension <= 4, and exact solves and inverses for the polynomial and
-affine fits, which have at most a few dozen unknowns.  One Gauss–Jordan
+dimension <= 4, and exact solves and inverses for the ladder and grid
+fits, which have at most a few dozen unknowns.  One Gauss–Jordan
 elimination serves both: solve_linear reduces the matrix beside one
 right-hand side, inverse beside the identity.  The fits in multiplicity
 read their weights from these once per point set.  Everything is done with
@@ -89,26 +89,4 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pkk
     return sign * m[n - 1][n - 1]
-
-
-def fit_affine(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """Exact least-squares fit of y = c0 + c1*x. Returns (c0, c1).
-
-    With two points this is interpolation; with more it solves the normal
-    equations in rational arithmetic, so a dataset lying exactly on a line
-    is reproduced with zero residual.
-    """
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two points")
-    n = len(xs)
-    sx = sum(xs, Fraction(0))
-    sxx = sum((x * x for x in xs), Fraction(0))
-    sy = sum(ys, Fraction(0))
-    sxy = sum((x * y for x, y in zip(xs, ys)), Fraction(0))
-    denom = n * sxx - sx * sx
-    if denom == 0:
-        raise ValueError("degenerate abscissae")
-    c1 = (n * sxy - sx * sy) / denom
-    c0 = (sy - c1 * sx) / n
-    return c0, c1
 

@@ -12,11 +12,11 @@ and tests dominance with bitsets from four on.  The kernel lives in
 step, and is bound here by name.  Plane products skip each pairwise sum
 g_i + h_j that g_{i+1} + h_{j-1} or g_{i-1} + h_{j+1} lies under (a chain
 of such skips cannot cycle, so it ends at a kept sum), keep the least y
-per x over the rest and sweep that staircase once.  Space products pack
-each exponent into one int, wide enough that sums never carry, so the
-pairwise sums are one set of ints in lexicographic order; one sweep over
-slabs of equal x, against a dense front of the least z per y, keeps the
-minimal sums and unpacks only those.
+per x over the rest and hand that staircase to the kernel's plane sweep.
+Space products pack each exponent into one int, wide enough that sums
+never carry, so the pairwise sums are one set of ints in lexicographic
+order; one sweep over slabs of equal x, against a dense front of the
+least z per y, keeps the minimal sums and unpacks only those.
 Colengths (the number of standard monomials) are computed exactly by
 coordinate slicing; the geometric quantities (Newton polyhedron vertices,
 covolume) are delegated to the polytope kernel.
@@ -72,8 +72,8 @@ def _staircase_product(
     """Minimal generators of a product of two plane ideals.
 
     Keeps the least y per x over the pairwise sums that
-    :func:`_undominated_pairs` keeps, as ints, then one sweep over
-    ascending x keeps the strictly falling staircase.  Below
+    :func:`_undominated_pairs` keeps, as ints, then the antichain
+    kernel's plane sweep keeps the strictly falling staircase.  Below
     _PRUNE_FLOOR generators on either side every sum is taken, in one
     block, so small products run the plain double loop.
     """
@@ -91,14 +91,7 @@ def _staircase_product(
                 b = get(x)
                 if b is None or y < b:
                     least[x] = y
-    kept: list[Exponent] = []
-    low: int | None = None
-    for x in sorted(least):
-        y = least[x]
-        if low is None or y < low:
-            kept.append((x, y))
-            low = y
-    return tuple(kept)
+    return _minimal(sorted(least.items()), 2)
 
 
 def _undominated_pairs(

@@ -150,23 +150,17 @@ def limit_estimate(seq, order: int = 2) -> LimitEstimate:
 def _limit_weights(ms: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
     """Weights w with c0 = sum_k w_k*y_k for limit_estimate on the rungs ms.
 
-    c0 is linear in the sampled values, with weights fixed by the rungs
-    alone (x_k = 1/m_k), so they are found once per rung tuple.  The affine
-    least-squares fit of order 2 has the closed form
-    w_k = (sum x^2 - x_k*sum x)/(n*sum x^2 - (sum x)^2); interpolation at
-    order k >= 3 takes w from one solve of A^T w = e_0, for A the
-    Vandermonde matrix [x_k^j], since c0 = e_0 . A^-1 y = (A^-T e_0) . y.
+    c0 is the least-squares fit of c0 + c1*x + ... + c_{order-1}*x^(order-1)
+    through the points (x_k, y_k), x_k = 1/m_k: with A the Vandermonde
+    matrix [x_k^j], c = (A^T A)^-1 A^T y, so c0 = w . y for w = A u and
+    (A^T A) u = e_0.  The weights depend on the rungs alone, so they are
+    found once per rung tuple.  When A is square (order k >= 3 through the
+    last k rungs) the fit is interpolation.
     """
-    xs = [Fraction(1, m) for m in ms]
-    if order == 2:
-        sx = sum(xs, Fraction(0))
-        sxx = sum((x * x for x in xs), Fraction(0))
-        denom = len(xs) * sxx - sx * sx
-        if denom == 0:
-            raise ValueError("degenerate abscissae")
-        return tuple((sxx - x * sx) / denom for x in xs)
-    cols = [[u**j for u in xs] for j in range(order)]
-    return tuple(linalg.solve_linear(cols, [1] + [0] * (order - 1)))
+    a = [[Fraction(1, m) ** j for j in range(order)] for m in ms]
+    gram = [[sum(row[i] * row[j] for row in a) for j in range(order)] for i in range(order)]
+    u = linalg.solve_linear(gram, [1] + [0] * (order - 1))
+    return tuple(sum(map(operator.mul, row, u)) for row in a)
 
 
 def exact_growth(fs, n, s: int) -> Fraction:
@@ -260,9 +254,11 @@ class _WeightedGrowth:
     otherwise required to be truncated already), certifies each part's
     common period and builds the part's one covolume form, which serves
     every n >= 0; the direct backend sums the parts' ladders rung by rung
-    and extrapolates the sum.  Growth values and mixed reports are
-    memoized per instance, so mixed() and multiplicities() on one instance
-    share their grid points and each report is fitted once.
+    and extrapolates the sum.  Mixed reports are memoized per instance, so
+    each is fitted once.  Growth values are memoized too, though mixed()
+    (the grid, every weight >= 1), mixed(keep) (0 off keep) and
+    multiplicities() (unit vectors) share no point; a fit by forward
+    differences (ROADMAP item 12) would read unit vectors and sub-grids.
     """
 
     def __init__(

@@ -25,10 +25,11 @@ star-shaped with respect to the origin, so its volume is the sum of the
 cones from the origin over simplices that triangulate the bounded faces.
 _covolume_form folds integer point sets G_j into their unit-weight sums,
 keeps those above no other one with the package's one antichain kernel
-(_minimal; monomial imports it to keep minimal generators), and
-triangulates the bounded faces once: by the staircase sweep of
-orthant_extremes in dimensions 1 and 2, and off one facet hull of the kept
-points and one far point per axis, beyond them all, in dimensions 3 and 4.
+(_minimal; monomial imports it for minimal generators and plane products),
+and triangulates the bounded faces once: the kept sums are a sorted
+antichain, so dimension 1 keeps its one point, dimension 2 the convex
+turns of its staircase (_staircase_chain), and dimensions 3 and 4 read
+them off one facet hull of the kept points and one far point per axis.
 _form_covolume then reads covol(sum_j n_j*P_j) at any weights n >= 0,
 zeros included.  orthant_covolume is the one-set form at weight 1, and the
 exact growth in multiplicity reads one form per part.
@@ -111,9 +112,8 @@ def hull(dim: int, points: Iterable[Sequence]) -> RationalPolytope:
     pts = [tuple(c if type(c) in _RATIONAL else Fraction(c) for c in p) for p in points]
     if any(len(p) != dim for p in pts):
         raise ValueError("point length does not match dimension")
-    den = lcm(*(c.denominator for p in pts for c in p))
-    ints = {tuple(c.numerator * (den // c.denominator) for c in p) for p in pts}
-    return _hull_ints(dim, den, ints)
+    den, ints = _scaled(pts)
+    return _hull_ints(dim, den, set(ints))
 
 
 def _hull_ints(dim: int, den: int, ints: Iterable[tuple[int, ...]]) -> RationalPolytope:
@@ -180,7 +180,7 @@ def _dot(a: Sequence, b: Sequence):
 def _scaled(points: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
     """The points times the lcm of their coordinate denominators, as ints."""
     den = lcm(*(c.denominator for p in points for c in p))
-    return den, [tuple(int(c * den) for c in p) for p in points]
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
 
 
 def _frame(pts: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -282,12 +282,9 @@ def minkowski_sum(p: RationalPolytope, q: RationalPolytope) -> RationalPolytope:
         raise ValueError("dimension mismatch")
     if p.is_empty() or q.is_empty():
         return RationalPolytope(p.dim, ())
-    p_den, us = _scaled(p.vertices)
-    q_den, vs = _scaled(q.vertices)
-    den = lcm(p_den, q_den)
-    su, sv = den // p_den, den // q_den
-    sums = {tuple(a * su + b * sv for a, b in zip(u, v)) for u in us for v in vs}
-    return _hull_ints(p.dim, den, sums)
+    den, ints = _scaled(p.vertices + q.vertices)
+    us, vs = ints[: len(p.vertices)], ints[len(p.vertices) :]
+    return _hull_ints(p.dim, den, {tuple(map(add, u, v)) for u in us for v in vs})
 
 
 def clip(p: RationalPolytope, h: Halfspace) -> RationalPolytope:
@@ -347,8 +344,8 @@ def orthant_extremes(points: Iterable[Sequence]) -> list[tuple]:
     Only the points above no other one can be extreme, and they span the
     same polyhedron, so the antichain kernel (_minimal) runs first; in
     dimension 1 the one point it keeps is the answer.  Dimension 2 then
-    keeps the convex turns of that staircase (_staircase_chain): every
-    dim-2 Newton polyhedron and exact covolume runs through here, and the
+    keeps the convex turns of that staircase (_staircase_chain, which
+    every dim-2 Newton polyhedron and exact covolume runs through): the
     facet path below is 15 to 60 times slower per call on 7 to 5000 point
     staircases (6 ms against 0.09 s at 5000 points), so the sweep stays.
     Dimensions 3 and 4 read the vertices off the facet hull Q of the kept
@@ -523,8 +520,9 @@ def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tup
     The sets are folded in one at a time, keeping one decomposition per
     distinct sum and only the sums above no other one (_minimal): a sum
     above another lies on no bounded face, and neither does any sum built
-    on it.  The simplices are the orthant_extremes point (dimension 1) or
-    segments (dimension 2).  In dimensions 3 and 4 they are the facets
+    on it.  The kept sums are a sorted antichain, so the simplices are the
+    one kept sum (dimension 1) or the segments of _staircase_chain
+    (dimension 2).  In dimensions 3 and 4 they are the facets
     with a strictly positive inner normal of the hull Q' of the n kept
     sums and d far points T + e_k, where T is one more than the largest
     coordinate of the sums on each axis: n + d points in all.
@@ -558,7 +556,7 @@ def _covolume_form(point_sets: Iterable[Iterable[tuple]], dim: int) -> tuple[tup
                     grown[key] = dec + (g,)
         sums = {p: grown[p] for p in _minimal(sorted(grown), dim)}
     if dim <= 2:
-        chain = orthant_extremes(sums)
+        chain = _staircase_chain(list(sums)) if dim == 2 else list(sums)
         simplices = [(p,) for p in chain] if dim == 1 else list(zip(chain, chain[1:]))
     else:
         pts = list(sums)

@@ -113,6 +113,28 @@ def det(a):
     return total
 
 
+def fit_affine(xs, ys):
+    """Exact least-squares fit of y = c0 + c1*x. Returns (c0, c1).
+
+    The closed form of the normal equations: with two points this is
+    interpolation, and a dataset lying exactly on a line is reproduced
+    with zero residual.
+    """
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise ValueError("need at least two points")
+    n = len(xs)
+    sx = sum(xs, Fraction(0))
+    sxx = sum((x * x for x in xs), Fraction(0))
+    sy = sum(ys, Fraction(0))
+    sxy = sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+    denom = n * sxx - sx * sx
+    if denom == 0:
+        raise ValueError("degenerate abscissae")
+    c1 = (n * sxy - sx * sy) / denom
+    c0 = (sy - c1 * sx) / n
+    return c0, c1
+
+
 def points_at(sem, i):
     """Every exponent of level i of a value semigroup in lexicographic
     order, by a walk of the degree-cap box; for small levels."""

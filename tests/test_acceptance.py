@@ -376,10 +376,10 @@ def test_13_deep_plane_bodies_hull_their_extreme_feet():
         assert b.body.vertices == pt.hull(2, sem.quotient_points()).vertices
 
 
-def test_14_dim4_three_filtration_exact_report_from_one_hull_per_support():
-    # Every grid point of the 15-point dim-4 grid reads its growth off the
-    # one covolume form of the three levels; a facet hull per grid point took
-    # about 0.37 s for this report.
+def test_14_dim4_three_filtration_exact_report_from_one_form_per_part():
+    # The report's one part builds one covolume form over its three levels,
+    # and every point of the 15-point dim-4 grid reads its growth off it; a
+    # facet hull per grid point took about 0.37 s for this report.
     gens = [
         [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 1)],
         [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1), (0, 1, 1, 0)],

@@ -65,3 +65,11 @@ def test_outputs_match_recorded_digests(workload):
     assert set(got) == set(table)
     wrong = sorted(key for key in table if got[key] != table[key])
     assert not wrong, f"{workload}: outputs differ from the recorded ones at {wrong}"
+
+
+def test_ladder_inputs_stay_under_the_cli_caps():
+    # the ladder workload calls the package directly; a mixed command on the
+    # same ladders would read levels 64, 192 and 48 in dimensions 1 to 3
+    depths = {d: (d + 1) * max(ladder) for d, (ladder, _) in w.LADDERS.items()}
+    assert depths == {1: 64, 2: 192, 3: 48}
+    assert all(depth <= filtmult.cli._LADDER_CAPS[d - 1] for d, depth in depths.items())

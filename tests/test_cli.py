@@ -390,7 +390,8 @@ class TestValidateDiagnostics:
         assert err == "config error: cutoff 1000000 exceeds the cap 1024 in dimension 2\n"
 
     def test_shipped_configs_stay_under_the_cap(self):
-        # the defaults are 16, and 8 for verify's Minkowski check
+        # the defaults are 16, and 8 for verify's Minkowski check; every
+        # command's ladder depth and verify's summed body stay under theirs
         paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
         assert len(paths) == 4
         for path in paths:
@@ -399,6 +400,78 @@ class TestValidateDiagnostics:
             assert problems == []
             cap = cli._CUTOFF_CAPS[min(model.dim, 4) - 1]
             assert cfg["params"].get("cutoff", 16) <= cap
+            for command in ("multiplicity", "mixed", "verify"):
+                assert cli._command_problems(model, cfg["params"], command) == [], path
+        model = two_branch_model()
+        assert cli._command_problems(model, {}, "example1") == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("command", ["multiplicity", "mixed", "verify", "example1"])
+    def test_ladder_cap_per_dimension(self, dim, command):
+        # multiplicity reads max(ladder); a mixed report reads (d+1)*max(ladder)
+        cap = cli._LADDER_CAPS[min(dim, 4) - 1]
+        gens = [[int(j == k) for j in range(dim)] for k in range(dim)]
+        model = serialize.model_from_json({"filtrations": [adic({"dim": dim, "gens": gens})] * 2})
+        reach = 1 if command == "multiplicity" else dim + 1
+        top = cap // reach
+        assert cli._command_problems(model, {"ladder": [1, 2, top]}, command) == []
+        want = (
+            f"ladder [1, 2, {top + 1}] reads level {reach * (top + 1)} for {command},"
+            f" above the cap {cap} in dimension {dim}"
+        )
+        assert cli._command_problems(model, {"ladder": [1, 2, top + 1]}, command) == [want]
+        # the exact backend reads a ladder only for the volume identity of
+        # verify on one filtration, never for a pair
+        exact = {"backend": "truncation-exact", "ladder": [1, 2, 10 * cap]}
+        assert cli._command_problems(model, exact, command) == []
+
+    @pytest.mark.parametrize(
+        "command, dim, count, params, want",
+        [
+            # a dim-3 pair read level 128 at the default ladder in 15 to 17 s
+            ("mixed", 3, 2, {}, "ladder [8, 16, 32] reads level 128 for mixed, above the cap 64"),
+            ("verify", 3, 2, {}, "ladder [8, 16, 32] reads level 128 for verify, above the cap 64"),
+            (
+                "multiplicity", 4, 2, {},
+                "ladder [8, 16, 32] reads level 32 for multiplicity, above the cap 20",
+            ),
+            (
+                "verify", 4, 1, {"backend": "truncation-exact", "trunc_level": 1},
+                "ladder [8, 16, 32] reads level 32 for verify, above the cap 20",
+            ),
+        ],
+    )
+    def test_oversized_ladder_exits_at_once(
+        self, capsys, tmp_path, command, dim, count, params, want
+    ):
+        gens = [[int(j == k) for j in range(dim)] for k in range(dim)]
+        model = {"filtrations": [adic({"dim": dim, "gens": gens})] * count}
+        path = write_config(tmp_path, {"model": model, "params": params})
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, [command, "--config", path])
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        assert err == f"config error: {want} in dimension {dim}\n"
+
+    def test_verify_summed_body_is_capped(self, capsys, tmp_path):
+        # verify builds a pair's summed body at twice the cutoff: a dim-3
+        # pair at cutoff 32, the okounkov cap, built a level-64 body in 36 s
+        gens = [[int(j == k) for j in range(3)] for k in range(3)]
+        pair = {"filtrations": [adic({"dim": 3, "gens": gens})] * 2}
+        params = {"backend": "truncation-exact", "trunc_level": 1, "cutoff": 20}
+        path = write_config(tmp_path, {"model": pair, "params": params})
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, ["verify", "--config", path])
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        assert err == (
+            "config error: cutoff 20 builds verify's summed body at level 40,"
+            " above the cap 32 in dimension 3\n"
+        )
+        # okounkov builds no summed body, and cutoff 16 keeps it at the cap
+        model = serialize.model_from_json(pair)
+        assert cli._command_problems(model, params, "okounkov") == []
+        assert cli._command_problems(model, {**params, "cutoff": 16}, "verify") == []
 
 
 class TestCommandsOnShippedConfigs:
@@ -592,6 +665,12 @@ class TestReadme:
         caps = cli._CUTOFF_CAPS
         listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
         assert f"at most {listed} in dimensions 1, 2, 3 and 4" in self.knob_rows("okounkov")
+
+    def test_knob_table_lists_the_ladder_caps(self):
+        caps = cli._LADDER_CAPS
+        listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
+        row = self.knob_rows("multiplicity")
+        assert f"the ladder reads, at most {listed} in dimensions 1, 2, 3 and 4" in row
 
     def knob_rows(self, command):
         """The rows of README's knob table whose first cell names command."""

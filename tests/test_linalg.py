@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lp_feasible, matrix_rank
+from conftest import fit_affine, lp_feasible, matrix_rank
 from filtmult import linalg
 
 
@@ -90,29 +90,32 @@ class TestRankAndDet:
 
 
 class TestFitAffine:
+    # The closed-form affine fit lives in conftest, as the order-2 oracle
+    # for the ladder weights.
+
     def test_interpolates_two_points(self):
-        c0, c1 = linalg.fit_affine([F(1), F(2)], [F(3), F(5)])
+        c0, c1 = fit_affine([F(1), F(2)], [F(3), F(5)])
         assert (c0, c1) == (F(1), F(2))
 
     def test_exact_on_collinear_overdetermined(self):
         xs = [F(1, m) for m in (8, 16, 32)]
         ys = [F(1, 2) + 3 * x for x in xs]
-        c0, c1 = linalg.fit_affine(xs, ys)
+        c0, c1 = fit_affine(xs, ys)
         assert c0 == F(1, 2) and c1 == 3
 
     def test_least_squares_residual(self):
         # symmetric noise around a constant leaves the constant
-        c0, c1 = linalg.fit_affine([F(-1), F(0), F(1)], [F(1), F(4), F(1)])
+        c0, c1 = fit_affine([F(-1), F(0), F(1)], [F(1), F(4), F(1)])
         assert c1 == 0
         assert c0 == F(2)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            linalg.fit_affine([F(1)], [F(1)])
+            fit_affine([F(1)], [F(1)])
 
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):
-            linalg.fit_affine([F(2), F(2)], [F(0), F(1)])
+            fit_affine([F(2), F(2)], [F(0), F(1)])
 
 
 class TestLpFeasible:

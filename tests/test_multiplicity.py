@@ -15,7 +15,7 @@ from filtmult import monomial as mo
 from filtmult import multiplicity as mu
 from filtmult import polytope as pt
 
-from conftest import FILTRATION_KINDS, random_filtration, vertex_sum_growth
+from conftest import FILTRATION_KINDS, fit_affine, random_filtration, vertex_sum_growth
 
 
 def maximal_adic():
@@ -143,7 +143,7 @@ class TestCachedFits:
                 xs = [F(1, m) for m, _ in tail]
                 ys = [v for _, v in tail]
                 if order == 2:
-                    want = linalg.fit_affine(xs, ys)[0]
+                    want = fit_affine(xs, ys)[0]
                 else:
                     rows = [[u**j for j in range(order)] for u in xs]
                     want = linalg.solve_linear(rows, ys)[0]

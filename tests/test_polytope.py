@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -324,6 +325,23 @@ def _degenerate_sets(rng, dim):
     yield [tuple(F(rng.randint(0, 3 * k), k) for _ in range(dim)) for k in dens]
 
 
+def _retyped(pts):
+    """pts with their coordinates written, in turn, as an int, a Fraction,
+    a float and a str of the same value; a float only where it is exact."""
+    kinds = itertools.cycle((int, F, float, str))
+    out = []
+    for p in pts:
+        q = []
+        for c in map(F, p):
+            kind = next(kinds)
+            den = c.denominator
+            if (kind is int and den != 1) or (kind is float and den & (den - 1)):
+                kind = str
+            q.append(kind(c))
+        out.append(tuple(q))
+    return out
+
+
 def _cases(dim, count, seed):
     rng = random.Random(seed)
     for _ in range(count):
@@ -345,6 +363,9 @@ class TestFacetHullAgainstOracles:
             assert h.volume() == want, pts
             # non-extreme vertices in the list do not change the volume
             assert polytope.volume(RationalPolytope(dim, tuple(pts))) == want, pts
+            # int, Fraction, float and str coordinates give the hull of
+            # their Fractions
+            assert hull(dim, _retyped(pts)) == h, pts
 
     @pytest.mark.parametrize("dim,count", [(1, 20), (2, 25), (3, 25), (4, 10)])
     def test_contains_point(self, dim, count):
