@@ -99,7 +99,8 @@ def component_growth(
     ladder=None,
     order: int = 2,
 ) -> LimitEstimate:
-    """Growth limit of the weighted model at multi-level n."""
+    """Growth limit of the weighted model at multi-level n; a direct
+    estimate's tail is the weight-summed ladder rungs the fit reads."""
     return _WeightedGrowth(_parts(model), backend, trunc_level, ladder, order).growth(n)
 
 

@@ -38,15 +38,6 @@ class SurdScalar:
         if self.p <= 0 or self.q <= 0:
             raise ValueError("scalar requires positive p and q")
 
-    @property
-    def value_squared(self) -> Fraction:
-        f = Fraction(self.p, self.q)
-        return f if self.is_root else f * f
-
-    def approx(self) -> float:
-        f = Fraction(self.p, self.q)
-        return math.sqrt(f) if self.is_root else float(f)
-
     def scaled_ceiling(
         self, n: int, unit: Fraction = Fraction(1), offset: Fraction = Fraction(0)
     ) -> int:
@@ -66,12 +57,6 @@ class SurdScalar:
             f = math.isqrt(m * m * n * n * self.p // self.q)
             k = (f + 1 - m * offset) / (m * unit)
         return max(0, math.ceil(k))
-
-    def reaches(self, total: Fraction, n: int) -> bool:
-        """Exact test of total >= n*(this scalar) for total >= 0."""
-        if not self.is_root:
-            return total * self.q >= n * self.p
-        return total * total * self.q >= n * n * self.p
 
 
 def rational_scale(p: int, q: int = 1) -> SurdScalar:
@@ -128,7 +113,7 @@ class Filtration:
         k is n-1 when levels n-a..n-1 are memoized, so levels read in order
         cost one step each; otherwise the deepest memoized level k >= n/2
         with k-a+1..k memoized, else max(n//2, a), so fresh reads recurse
-        only logarithmically deep.
+        only logarithmically deep and never call power.
         """
         memo = self._cache
         k = n - 1
@@ -363,7 +348,8 @@ def noetherian_period(f: TruncatedFiltration, *, candidate_cap: int = 10_000) ->
     Candidates are the divisors of lcm(1..a) in ascending order (every
     level index up to a divides that lcm), walked lazily so huge lcm
     values cost nothing.  After candidate_cap divisors the search gives
-    up and reports the deepest-surviving candidate.
+    up and reports the deepest-surviving candidate.  At a = 1 the one
+    candidate s = 1 is level 1 against itself, and no product is formed.
     """
     if not isinstance(f, TruncatedFiltration):
         raise TypeError("period detection applies to truncated filtrations")

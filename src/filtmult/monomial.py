@@ -18,8 +18,8 @@ never carry, so the pairwise sums are one set of ints in lexicographic
 order; one sweep over slabs of equal x, against a dense front of the
 least z per y, keeps the minimal sums and unpacks only those.
 Colengths (the number of standard monomials) are computed exactly by
-coordinate slicing; the geometric quantities (Newton polyhedron vertices,
-covolume) are delegated to the polytope kernel.
+coordinate slicing; the covolume of the Newton polyhedron is delegated
+to the polytope kernel.
 """
 
 from __future__ import annotations
@@ -289,16 +289,6 @@ class MonomialIdeal:
             raise ValueError("colength is finite only for primary ideals")
         return _colength(self.gens, self.dim)
 
-    def newton_vertices(self) -> polytope.RationalPolytope:
-        """Vertices of the Newton polyhedron conv(gens) + R_{>=0}^d.
-
-        Returned as the polytope spanned by the extreme generator exponents;
-        the recession cone (the positive orthant) is implicit.
-        """
-        self._check_geometry_dim()
-        ext = polytope.orthant_extremes(self.gens)
-        return polytope.RationalPolytope(self.dim, tuple(tuple(map(Fraction, v)) for v in ext))
-
     def covolume(self) -> Fraction:
         """Volume of the orthant complement of the Newton polyhedron, exact.
 
@@ -310,17 +300,14 @@ class MonomialIdeal:
 
     def _check_covolume(self) -> None:
         """Raise unless the covolume is defined: dimension <= 4, primary."""
-        self._check_geometry_dim()
+        if self.dim > DIM_CAP:
+            raise ValueError(f"geometric operations are limited to dimension {DIM_CAP}")
         if not self.is_primary():
             raise ValueError("covolume is finite only for primary ideals")
 
     def _check_same_dim(self, other: "MonomialIdeal") -> None:
         if self.dim != other.dim:
             raise ValueError("ambient dimensions differ")
-
-    def _check_geometry_dim(self) -> None:
-        if self.dim > DIM_CAP:
-            raise ValueError(f"geometric operations are limited to dimension {DIM_CAP}")
 
 
 def ideal(dim: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:

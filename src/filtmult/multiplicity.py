@@ -257,8 +257,7 @@ class _WeightedGrowth:
     and extrapolates the sum.  Mixed reports are memoized per instance, so
     each is fitted once.  Growth values are memoized too, though mixed()
     (the grid, every weight >= 1), mixed(keep) (0 off keep) and
-    multiplicities() (unit vectors) share no point; a fit by forward
-    differences (ROADMAP item 12) would read unit vectors and sub-grids.
+    multiplicities() (unit vectors) share no point.
     """
 
     def __init__(

@@ -5,10 +5,10 @@ monomial to a distinct value, so graded pieces are one-dimensional and
 semigroup membership reduces to monomial-ideal membership; no irrational
 arithmetic ever happens.  Each level is kept as its product ideal, in
 every dimension, and a body is the exact hull of the generators under
-the degree cap and their ray points (see ValueSemigroup.quotient_points).
-The hull runs on integers a*(L/i) over L = lcm(1..cutoff), and only on
-the feet that span the same orthant hull as all feet, with their ray
-points toward the common cap bound*L (see body).  In the plane each
+the degree cap and their ray points, the hull of every point of every
+level.  The hull runs on integers a*(L/i) over L = lcm(1..cutoff), only
+on the feet with the orthant hull of all feet, and their ray points
+toward the common cap bound*L (see body).  In the plane each
 level is first cut to the vertices of its own Newton polygon, on its
 small unscaled feet, so only a few points per level meet L.  The full
 simplex needs no hull: its vertices and its volume bound^d/d! are
@@ -72,52 +72,11 @@ class ValueSemigroup:
     cutoff: int
     _levels: dict[int, MonomialIdeal] = field(repr=False)
 
-    def level_contains(self, a, i: int) -> bool:
-        if i < 1 or i > self.cutoff:
-            raise ValueError("level outside stored range")
-        a = tuple(a)
-        return (
-            all(c >= 0 for c in a)
-            and sum(a) <= self.bound * i
-            and self._levels[i].contains(a)
-        )
-
     def _feet(self, i: int) -> list[tuple[int, ...]]:
         """Minimal generators of level i within the degree cap, in
         lexicographic order."""
         cap = self.bound * i
         return [g for g in self._levels[i].gens if sum(g) <= cap]
-
-    def quotient_points(self) -> list[tuple[Fraction, ...]]:
-        """The distinct points a/i whose closure the body is, sorted.
-
-        Per level i with cap = bound*i, only the feet g (minimal generators
-        with |g| <= cap) and their ray points g + (cap - |g|)*e_k are
-        listed.  The hull is still exactly the hull of every lattice point
-        of every level, for any bound: a point a of level i lies above some
-        minimal generator g, so |g| <= |a| <= cap and g is a foot.  With
-        slack s = cap - |g| > 0 and c = a - g >= 0, |c| <= s, the point
-        a = (1 - |c|/s)*g + sum_k (c_k/s)*(g + s*e_k) is a convex
-        combination of the foot and its ray points (a = g when s = 0), and
-        those are themselves points of the level: above g, of degree at
-        most cap.  Dividing by i is linear, so the same holds after scaling.
-
-        `body` hulls only the extreme feet and their ray points; this full
-        list is what the tests compare it against.
-        """
-        den = lcm(*range(1, self.cutoff + 1))
-        pts: set[tuple[int, ...]] = set()
-        for i in range(1, self.cutoff + 1):
-            scale = den // i
-            cap = self.bound * i
-            for g in self._feet(i):
-                foot = tuple([c * scale for c in g])
-                pts.add(foot)
-                slack = (cap - sum(g)) * scale
-                if slack:
-                    for k in range(self.dim):
-                        pts.add(foot[:k] + (foot[k] + slack,) + foot[k + 1 :])
-        return [tuple(Fraction(c, den) for c in p) for p in sorted(pts)]
 
 
 def value_semigroup(fs, sigma, bound: int, cutoff: int) -> ValueSemigroup:
@@ -158,6 +117,12 @@ class OkounkovBody:
 def body(sem: ValueSemigroup) -> OkounkovBody:
     """The exact hull of the semigroup's quotient points; empty when no
     level has a foot.
+
+    Level i, with cap = bound*i, gives its feet g (minimal generators
+    with |g| <= cap) and their ray points g + (cap - |g|)*e_k, over i.
+    These span the hull of all of the level's points, for any bound: a
+    point a lies above a minimal generator g, a foot as |g| <= |a| <= cap,
+    so a is in the right side of the lemma below, taken on that level.
 
     The hull runs on integers over L = lcm(1..cutoff).  Level i is scaled
     by L/i: its feet g become the points f = g*(L/i) of a set F, each with

@@ -135,13 +135,49 @@ def fit_affine(xs, ys):
     return c0, c1
 
 
+def reaches(scale, total, n):
+    """Exact test of total >= n*scale for total >= 0, by squaring both
+    sides when the scalar is a root."""
+    if not scale.is_root:
+        return total * scale.q >= n * scale.p
+    return total * total * scale.q >= n * n * scale.p
+
+
+def level_contains(sem, a, i):
+    """x^a lies in level i of a value semigroup: within the degree cap and
+    above some stored generator, by a scan of every one."""
+    return (
+        all(c >= 0 for c in a)
+        and sum(a) <= sem.bound * i
+        and any(all(x >= y for x, y in zip(a, g)) for g in sem._levels[i].gens)
+    )
+
+
 def points_at(sem, i):
     """Every exponent of level i of a value semigroup in lexicographic
     order, by a walk of the degree-cap box; for small levels."""
     cap = sem.bound * i
     for a in itertools.product(range(cap + 1), repeat=sem.dim):
-        if sem.level_contains(a, i):
+        if level_contains(sem, a, i):
             yield a
+
+
+def quotient_points(sem):
+    """The distinct points a/i whose hull is the semigroup's body, sorted:
+    per level i, every generator g with |g| <= cap = bound*i and its ray
+    points g + (cap - |g|)*e_k.  okounkov.body hulls only the extreme ones."""
+    den = math.lcm(*range(1, sem.cutoff + 1))
+    pts = set()
+    for i in range(1, sem.cutoff + 1):
+        scale, cap = den // i, sem.bound * i
+        for g in sem._levels[i].gens:
+            slack = cap - sum(g)
+            if slack >= 0:
+                foot = tuple(c * scale for c in g)
+                pts.add(foot)
+                for k in range(sem.dim):
+                    pts.add(foot[:k] + (foot[k] + slack * scale,) + foot[k + 1 :])
+    return [tuple(Fraction(c, den) for c in p) for p in sorted(pts)]
 
 
 def random_primary_gens(rng: random.Random, dim: int, max_exp: int):

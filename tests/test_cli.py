@@ -672,6 +672,23 @@ class TestReadme:
         row = self.knob_rows("multiplicity")
         assert f"the ladder reads, at most {listed} in dimensions 1, 2, 3 and 4" in row
 
+    def test_python_blocks_print_what_their_comments_state(self, capsys):
+        # Each block runs in one shared namespace, as a reader would paste
+        # them.  A comment line states the next printed line; a comment
+        # after a print states its output, up to the first comma.
+        readme = self.README.read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        namespace, stated = {}, []
+        for block in blocks:
+            for line in block.splitlines():
+                if line.startswith("# "):
+                    stated.append(line[2:])
+                elif line.startswith("print(") and "#" in line:
+                    stated.append(line.split("#", 1)[1].split(",", 1)[0].strip())
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert stated == ["(2, 0) 1", "(1, 1) 1", "(0, 2) 2", "181/128", "58/41"]
+        assert capsys.readouterr().out.splitlines() == stated
+
     def knob_rows(self, command):
         """The rows of README's knob table whose first cell names command."""
         section = self.README.read_text(encoding="utf-8").split("### Config format", 1)[1]

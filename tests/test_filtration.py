@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import FILTRATION_KINDS, random_filtration, small_primary_ideal
+from conftest import FILTRATION_KINDS, random_filtration, reaches, small_primary_ideal
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
@@ -45,14 +45,11 @@ class TestSurdScalar:
         assert (s.p, s.q) == (2, 1)
         assert ft.root_scale(9, 4) == ft.rational_scale(3, 2)
 
-    def test_reaches_is_exact_near_the_threshold(self):
-        s = ft.root_scale(2)
+    def test_ceiling_is_exact_near_the_threshold(self):
         # 3 >= 2*sqrt(2) since 9 >= 8, but 14/5 = 2.8 falls short
-        assert s.reaches(F(3), 2)
-        assert not s.reaches(F(14, 5), 2)
-        r = ft.rational_scale(3, 2)
-        assert r.reaches(F(3), 2)
-        assert not r.reaches(F(3) - F(1, 10**9), 2)
+        assert ft.root_scale(2).scaled_ceiling(2, F(1, 5)) == 15
+        # 2*(3/2) = 3 is met exactly, and 3 - 1/10^9 falls short
+        assert ft.rational_scale(3, 2).scaled_ceiling(2, F(1, 10**9)) == 3 * 10**9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,7 +63,7 @@ class TestSurdScalar:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_offset_ceiling_matches_bisection(self, seed):
-        # the closed form against the least k with reaches(offset + k*unit, n)
+        # the closed form against the least k with offset + k*unit >= n*s
         rng = random.Random(seed)
         for _ in range(500):
             make = rng.choice([ft.rational_scale, ft.root_scale])
@@ -75,21 +72,20 @@ class TestSurdScalar:
             unit = F(rng.randint(1, 9), rng.randint(1, 7))
             offset = F(rng.randint(0, 60), rng.randint(1, 7))
             hi = 1
-            while not s.reaches(offset + hi * unit, n):
+            while not reaches(s, offset + hi * unit, n):
                 hi *= 2
             lo = 0
             while lo < hi:
                 mid = (lo + hi) // 2
-                if s.reaches(offset + mid * unit, n):
+                if reaches(s, offset + mid * unit, n):
                     hi = mid
                 else:
                     lo = mid + 1
             assert s.scaled_ceiling(n, unit, offset) == lo, (s, n, unit, offset)
 
-    def test_approx_and_value_squared(self):
-        assert ft.root_scale(2).value_squared == F(2)
-        assert ft.rational_scale(3, 2).value_squared == F(9, 4)
-        assert abs(ft.root_scale(2).approx() - 2 ** 0.5) < 1e-12
+    def test_scales_reduce_to_lowest_terms(self):
+        assert ft.root_scale(8, 4) == ft.SurdScalar(2, 1, is_root=True)
+        assert ft.rational_scale(6, 4) == ft.SurdScalar(3, 2, is_root=False)
 
 
 class TestLevels:
@@ -179,7 +175,7 @@ def whole_box_level(f, n):
     hits = [
         a
         for a in itertools.product(*(range(b + 1) for b in bounds))
-        if f.scale.reaches(sum((w * c for w, c in zip(f.weights, a)), F(0)), n)
+        if reaches(f.scale, sum((w * c for w, c in zip(f.weights, a)), F(0)), n)
     ]
     return mo.ideal(f.dim, hits)
 
