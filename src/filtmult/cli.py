@@ -118,21 +118,25 @@ def _expected_key_ok(section: str, key: str, r: int, d: int) -> bool:
     return len(t) == r and (section == "colength" or sum(t) == d)
 
 
-def validate(config: dict) -> tuple[ComponentModel | None, list[str]]:
-    """The config's model, parsed once (None if it cannot be), and the
-    configuration problems, collected without running anything."""
+def validate(
+    config: dict, model: ComponentModel | None = None
+) -> tuple[ComponentModel | None, list[str]]:
+    """The config's model, parsed once (None if it cannot be), or the given
+    model in its place, and the configuration problems, collected without
+    running anything."""
     problems = []
     unknown = set(config) - {"model", "params"}
     if unknown:
         problems.append(f"unknown config keys: {sorted(unknown)}")
-    if "model" not in config:
-        problems.append("config needs a model")
-        return None, problems
-    try:
-        model = serialize.model_from_json(config["model"])
-    except (ValueError, KeyError, TypeError) as exc:
-        problems.append(f"bad model: {exc}")
-        return None, problems
+    if model is None:
+        if "model" not in config:
+            problems.append("config needs a model")
+            return None, problems
+        try:
+            model = serialize.model_from_json(config["model"])
+        except (ValueError, KeyError, TypeError) as exc:
+            problems.append(f"bad model: {exc}")
+            return None, problems
     params = config.get("params", {})
     if not isinstance(params, dict):
         problems.append("params must be an object")
@@ -414,11 +418,7 @@ def run_verify(model: ComponentModel, params: dict):
 
         def identity():
             rep = okounkov._volume_identity(fs[0], semigroup(), args["ladder"])
-            tol = (
-                serialize.parse_frac(params["tolerance"])
-                if "tolerance" in params
-                else max(Fraction(1, 100), Fraction(4, cutoff))
-            )
+            tol = max(Fraction(1, 100), Fraction(4, cutoff))
             ok = rep.discrepancy <= tol
             detail = f"discrepancy {serialize.frac_str(rep.discrepancy)} vs tolerance {tol}"
             return ok, detail, serialize.report_to_json(rep)
@@ -426,8 +426,7 @@ def run_verify(model: ComponentModel, params: dict):
         check("volume-identity", identity)
 
         def collapse():
-            tol = serialize.parse_frac(params.get("tolerance", "1/8"))
-            rep = okounkov._origin_collapse(fs[0], semigroup(), tol)
+            rep = okounkov._origin_collapse(fs[0], semigroup(), Fraction(1, 8))
             ok = (not rep.triggered) or bool(rep.gap_decreasing)
             detail = (
                 "no quotient point near the origin"
@@ -579,10 +578,9 @@ def main(argv=None) -> int:
         if not ns.config and ns.command != "example1":
             raise CliError(f"{ns.command} requires --config")
         config = load_config(ns.config) if ns.config else {}
-        if ns.command == "example1":
-            # the built-in model replaces any given one; params are checked against it
-            config["model"] = serialize.model_to_json(two_branch_model())
-        model, problems = validate(config)
+        # example1's built-in model replaces any given one; params are checked against it
+        builtin = two_branch_model() if ns.command == "example1" else None
+        model, problems = validate(config, builtin)
         if not problems:
             problems = _command_problems(model, config.get("params", {}), ns.command)
         if problems:

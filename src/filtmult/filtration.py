@@ -80,8 +80,6 @@ class Filtration:
     the unit ideal at level 0.
     """
 
-    kind: str = "abstract"
-
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self._cache: dict[int, MonomialIdeal] = {}
@@ -135,8 +133,6 @@ class AdicFiltration(Filtration):
     with a = 1: level n is level(k) * level(n-k).
     """
 
-    kind = "adic"
-
     def __init__(self, base: MonomialIdeal) -> None:
         if not base.is_primary():
             raise ValueError("adic filtration requires an m-primary base")
@@ -154,8 +150,6 @@ class FixedPlusAdicFiltration(Filtration):
     Filtration._from_levels_up_to: for 1 <= k < n the product
     (F + B^k)(F + B^(n-k)) lies in F + B^n and contains B^n.
     """
-
-    kind = "fixed-plus-adic"
 
     def __init__(self, fixed: MonomialIdeal, bulk: MonomialIdeal) -> None:
         if fixed.dim != bulk.dim:
@@ -185,8 +179,6 @@ class RoundedValuationFiltration(Filtration):
     point lies above its column's candidate, so the candidates generate
     the level.
     """
-
-    kind = "rounded-valuation"
 
     def __init__(self, weights: tuple[Fraction, ...], scale: SurdScalar) -> None:
         ws = tuple(Fraction(w) for w in weights)
@@ -222,11 +214,9 @@ class TruncatedFiltration(Filtration):
     base level, and past a* I_j is that same sum of products of lower,
     equal levels.  A truncation of an adic filtration thus regenerates
     like the adic one, with one product per level.  The user's a stays
-    the filtration's a everywhere else (serialization, period search,
-    the exact backend's note).
+    the filtration's a everywhere else (period search, the exact
+    backend's note).
     """
-
-    kind = "truncated"
 
     def __init__(self, base: Filtration, a: int) -> None:
         if a < 1:
@@ -274,8 +264,6 @@ class TruncatedFiltration(Filtration):
 
 class RescaledFiltration(Filtration):
     """Reads the base filtration at multiples of a fixed stride."""
-
-    kind = "rescaled"
 
     def __init__(self, base: Filtration, s: int) -> None:
         if s < 1:

@@ -255,9 +255,9 @@ class _WeightedGrowth:
     common period and builds the part's one covolume form, which serves
     every n >= 0; the direct backend sums the parts' ladders rung by rung
     and extrapolates the sum.  Mixed reports are memoized per instance, so
-    each is fitted once.  Growth values are memoized too, though mixed()
-    (the grid, every weight >= 1), mixed(keep) (0 off keep) and
-    multiplicities() (unit vectors) share no point.
+    each is fitted once.  Growth values are not memoized, since mixed() (the
+    grid, every weight >= 1), mixed(keep) (0 off keep) and multiplicities()
+    (unit vectors) share no point.
     """
 
     def __init__(
@@ -275,7 +275,6 @@ class _WeightedGrowth:
             raise ValueError("every part must carry the same number of filtrations")
         self.r = counts.pop()
         self.backend = backend
-        self._growth: dict[tuple[int, ...], LimitEstimate] = {}
         self._mixed: dict[tuple[int, ...], MixedMultiplicityReport] = {}
         if backend == TRUNCATION_EXACT:
             self.parts, self._forms, notes = [], [], []
@@ -301,13 +300,8 @@ class _WeightedGrowth:
             raise ValueError(f"unknown backend {backend!r}")
 
     def growth(self, n) -> LimitEstimate:
-        """Limit of the weight-summed ell(R/product at m*n)/m^d, memoized."""
+        """Limit of the weight-summed ell(R/product at m*n)/m^d."""
         n = _weights(n, self.r)
-        if n not in self._growth:
-            self._growth[n] = self._limit(n)
-        return self._growth[n]
-
-    def _limit(self, n: tuple[int, ...]) -> LimitEstimate:
         if self.backend == TRUNCATION_EXACT:
             value = Fraction(0)
             for (w, _, s), form in zip(self.parts, self._forms):

@@ -105,8 +105,6 @@ class Halfspace:
 
 def hull(dim: int, points: Iterable[Sequence]) -> RationalPolytope:
     """Convex hull: the polytope on the extreme points of the input set."""
-    if dim < 1 or dim > DIM_CAP:
-        raise ValueError(f"dimension must be between 1 and {DIM_CAP}")
     # ints and Fractions carry their own numerator and denominator, so only
     # other coordinates (floats, strings) are converted, and each only once.
     pts = [tuple(c if type(c) in _RATIONAL else Fraction(c) for c in p) for p in points]
@@ -121,7 +119,10 @@ def _hull_ints(dim: int, den: int, ints: Iterable[tuple[int, ...]]) -> RationalP
 
     Scaling by 1/den keeps the lexicographic order, so the vertices come
     out sorted, as reduced Fractions, whatever common denominator is used.
+    Every hull comes through here, so this is where the dimension cap holds.
     """
+    if dim < 1 or dim > DIM_CAP:
+        raise ValueError(f"dimension must be between 1 and {DIM_CAP}")
     ints = sorted(ints)
     ext = _extreme(ints) if len(ints) > 1 else range(len(ints))
     verts = (tuple(Fraction(c, den) for c in ints[i]) for i in sorted(ext))

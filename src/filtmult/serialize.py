@@ -1,4 +1,5 @@
-"""JSON and CSV forms for ideals, filtrations, models and reports.
+"""JSON and CSV forms for reports, and the JSON reader of model specs
+(ideals, scales, filtrations, models).
 
 Rationals travel as "p/q" strings so nothing is rounded on the way out;
 floats appear only as explicit companions to an exact value.  Parsing is
@@ -16,14 +17,9 @@ from fractions import Fraction
 from . import okounkov
 from .components import Component, ComponentModel
 from .filtration import (
-    AdicFiltration,
     Filtration,
-    FixedPlusAdicFiltration,
-    RescaledFiltration,
-    RoundedValuationFiltration,
     SubmultiplicativityReport,
     SurdScalar,
-    TruncatedFiltration,
     adic,
     fixed_plus_adic,
     rational_scale,
@@ -105,10 +101,6 @@ def estimate_to_json(est: LimitEstimate) -> dict:
     }
 
 
-def ideal_to_json(I: MonomialIdeal) -> dict:
-    return {"dim": I.dim, "gens": [list(g) for g in I.gens]}
-
-
 def ideal_from_json(obj) -> MonomialIdeal:
     _check_keys(obj, "ideal", ("dim", "gens"))
     dim = parse_int(obj["dim"])
@@ -116,37 +108,11 @@ def ideal_from_json(obj) -> MonomialIdeal:
     return ideal(dim, [tuple(parse_int(c) for c in _list(g, "generator")) for g in gens])
 
 
-def scale_to_json(s: SurdScalar) -> dict:
-    return {"sqrt": [s.p, s.q]} if s.is_root else {"rat": [s.p, s.q]}
-
-
 def scale_from_json(obj) -> SurdScalar:
     _check_keys(obj, "scale", one_of=("sqrt", "rat"))
     kind = "sqrt" if "sqrt" in obj else "rat"
     p, q = _list(obj[kind], kind, 2)
     return (root_scale if kind == "sqrt" else rational_scale)(parse_int(p), parse_int(q))
-
-
-def filtration_to_json(f: Filtration) -> dict:
-    if isinstance(f, AdicFiltration):
-        return {"kind": f.kind, "ideal": ideal_to_json(f.base)}
-    if isinstance(f, FixedPlusAdicFiltration):
-        return {
-            "kind": f.kind,
-            "fixed": ideal_to_json(f.fixed),
-            "bulk": ideal_to_json(f.bulk),
-        }
-    if isinstance(f, RoundedValuationFiltration):
-        return {
-            "kind": f.kind,
-            "weights": [frac_str(w) for w in f.weights],
-            "scale": scale_to_json(f.scale),
-        }
-    if isinstance(f, TruncatedFiltration):
-        return {"kind": f.kind, "base": filtration_to_json(f.base), "level": f.a}
-    if isinstance(f, RescaledFiltration):
-        return {"kind": f.kind, "base": filtration_to_json(f.base), "stride": f.s}
-    raise ValueError(f"unknown filtration type: {type(f).__name__}")
 
 
 # The keys of each filtration kind's spec, besides its kind.
@@ -178,18 +144,6 @@ def filtration_from_json(obj) -> Filtration:
     if kind == "truncated":
         return truncate(filtration_from_json(obj["base"]), parse_int(obj["level"]))
     return rescale(filtration_from_json(obj["base"]), parse_int(obj["stride"]))
-
-
-def model_to_json(model: ComponentModel) -> dict:
-    return {
-        "components": [
-            {
-                "weight": c.weight,
-                "filtrations": [filtration_to_json(f) for f in c.filtrations],
-            }
-            for c in model.components
-        ]
-    }
 
 
 def _filtrations_from_json(value) -> tuple[Filtration, ...]:

@@ -134,7 +134,7 @@ def test_4_volume_identity_family():
         ]
         for f, want in frozen:
             discs = [ok.volume_identity_report(f, N).discrepancy for N in cutoffs]
-            print(f.kind, [str(x) for x in discs])
+            print(type(f).__name__, [str(x) for x in discs])
             assert discs == want
             assert all(b <= a for a, b in zip(discs, discs[1:]))
             assert discs[2] <= max(F(1, 100), F(4, 64))

@@ -38,11 +38,24 @@ def one(spec):
 
 
 ADIC = adic({"dim": 2, "gens": [[1, 0], [0, 1]]})
+LINE_PLUS_SPEC = {
+    "kind": "fixed-plus-adic",
+    "fixed": {"dim": 2, "gens": [[1, 0]]},
+    "bulk": {"dim": 2, "gens": [[1, 0], [0, 1]]},
+}
+
+# The spec of components.two_branch_model(), example1's built-in model.
+TWO_BRANCH = {
+    "components": [
+        {"weight": 1, "filtrations": [ADIC, LINE_PLUS_SPEC]},
+        {"weight": 1, "filtrations": [LINE_PLUS_SPEC, ADIC]},
+    ]
+}
 
 # Models that are not a single component of weight 1: two components, and
 # one component of weight 2.
 NOT_WEIGHT_ONE = [
-    serialize.model_to_json(two_branch_model()),
+    TWO_BRANCH,
     {"components": [{"weight": 2, "filtrations": [valuation()]}]},
 ]
 
@@ -645,14 +658,19 @@ class TestTruncLevelRule:
 class TestReadme:
     README = Path(__file__).resolve().parent.parent / "README.md"
 
-    def test_config_section_names_every_param(self):
+    def config_section_misses(self, names):
+        """The names that README's "Config format" section does not quote."""
         readme = self.README.read_text(encoding="utf-8")
         section = readme.split("### Config format", 1)[1].split("\n## ", 1)[0]
-        missing = [
-            key
-            for key in sorted(cli._PARAM_KEYS)
-            if f"`{key}`" not in section and f'"{key}"' not in section
-        ]
+        return [n for n in sorted(names) if f"`{n}`" not in section and f'"{n}"' not in section]
+
+    def test_config_section_names_every_param(self):
+        missing = self.config_section_misses(cli._PARAM_KEYS)
+        assert not missing, f"README config section does not name {missing}"
+
+    def test_config_section_names_every_filtration_kind_and_key(self):
+        kinds = serialize._FILTRATION_KEYS
+        missing = self.config_section_misses({*kinds, *(k for ks in kinds.values() for k in ks)})
         assert not missing, f"README config section does not name {missing}"
 
     def test_knob_list_is_the_params(self):
@@ -769,6 +787,23 @@ class TestVerifyFailures:
         assert rc == 2
         assert "verify failed: expected-colength" in err
 
+    @pytest.mark.parametrize("want, rc", [("181/128", 0), ("363/256", 2)])
+    def test_tolerance_sets_only_the_expected_match(self, capsys, tmp_path, want, rc):
+        # the direct ladder reads 181/128; 363/256 is 1/256 away, beyond
+        # tolerance 1/1000, while the body checks keep their own thresholds
+        cfg = json.loads(open(SQRT2, encoding="utf-8").read())
+        cfg["params"]["expected"] = {"multiplicity": {"0": want}}
+        cfg["params"]["tolerance"] = "1/1000"
+        got, out, _ = run(
+            capsys, ["verify", "--config", write_config(tmp_path, cfg), "--no-timestamp"]
+        )
+        assert got == rc
+        obj = json.loads(out)
+        assert obj["failed"] == ([] if rc == 0 else ["expected-multiplicity"])
+        checks = {c["name"]: c for c in obj["checks"]}
+        assert checks["volume-identity"]["detail"] == "discrepancy 1/384 vs tolerance 1/4"
+        assert checks["origin-collapse"]["report"]["tolerance"] == "1/8"
+
     def test_expected_multiplicity_index_out_of_range(self, capsys, tmp_path):
         cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
         cfg["params"]["expected"]["multiplicity"] = {"-1": "2"}
@@ -841,17 +876,18 @@ class TestSharedWork:
     """Work that two parts of one command need is done once."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, parses",
         [
-            ["colength", "--config", PLANE_PAIR],
-            ["multiplicity", "--config", PLANE_PAIR],
-            ["mixed", "--config", SQRT2_TRUNC],
-            ["okounkov", "--config", SQRT2],
-            ["verify", "--config", PLANE_PAIR],
-            ["example1"],
+            (["colength", "--config", PLANE_PAIR], 1),
+            (["multiplicity", "--config", PLANE_PAIR], 1),
+            (["mixed", "--config", SQRT2_TRUNC], 1),
+            (["okounkov", "--config", SQRT2], 1),
+            (["verify", "--config", PLANE_PAIR], 1),
+            # the built-in model is built, never read from a spec
+            (["example1"], 0),
         ],
     )
-    def test_each_command_parses_its_model_once(self, capsys, monkeypatch, argv):
+    def test_each_command_parses_its_model_once(self, capsys, monkeypatch, argv, parses):
         calls = []
         real = serialize.model_from_json
 
@@ -862,7 +898,7 @@ class TestSharedWork:
         monkeypatch.setattr(serialize, "model_from_json", counted)
         rc, _, _ = run(capsys, argv + ["--no-timestamp"])
         assert rc == 0
-        assert len(calls) == 1
+        assert len(calls) == parses
 
     def test_verify_builds_one_value_semigroup(self, capsys, monkeypatch):
         # volume-identity and origin-collapse read the same semigroup
@@ -923,7 +959,7 @@ def two_branch_config():
     expected value in each section; its positivity check takes the
     multi-component branch."""
     return {
-        "model": serialize.model_to_json(two_branch_model()),
+        "model": TWO_BRANCH,
         "params": {
             "ladder": [16, 32, 64],
             "order": 3,

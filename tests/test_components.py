@@ -52,10 +52,10 @@ class TestTwoBranchModel:
     def test_structure(self):
         tb = swapped_roles()
         assert tb.dim == 2 and tb.r == 2
-        kinds = [tuple(f.kind for f in c.filtrations) for c in tb.components]
+        kinds = [tuple(type(f) for f in c.filtrations) for c in tb.components]
         assert kinds == [
-            ("adic", "fixed-plus-adic"),
-            ("fixed-plus-adic", "adic"),
+            (ft.AdicFiltration, ft.FixedPlusAdicFiltration),
+            (ft.FixedPlusAdicFiltration, ft.AdicFiltration),
         ]
 
     def test_per_component_limits(self):

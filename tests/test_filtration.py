@@ -14,7 +14,6 @@ from conftest import FILTRATION_KINDS, random_filtration, reaches, small_primary
 from filtmult import filtration as ft
 from filtmult import monomial as mo
 from filtmult import multiplicity as mu
-from filtmult import serialize as se
 
 
 def sqrt2_filtration():
@@ -229,19 +228,17 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             ft.rescale(f, 0)
 
-    def test_kind_strings(self):
+    def test_constructor_types(self):
         m = mo.maximal_ideal(2)
-        assert ft.adic(m).kind == "adic"
-        assert line_plus_powers().kind == "fixed-plus-adic"
-        assert sqrt2_filtration().kind == "rounded-valuation"
-        assert ft.truncate(ft.adic(m), 2).kind == "truncated"
-        assert ft.rescale(ft.adic(m), 2).kind == "rescaled"
+        assert isinstance(ft.adic(m), ft.AdicFiltration)
+        assert isinstance(line_plus_powers(), ft.FixedPlusAdicFiltration)
+        assert isinstance(sqrt2_filtration(), ft.RoundedValuationFiltration)
+        assert isinstance(ft.truncate(ft.adic(m), 2), ft.TruncatedFiltration)
+        assert isinstance(ft.rescale(ft.adic(m), 2), ft.RescaledFiltration)
 
 
 class TwoLevelBase(ft.Filtration):
     """Prescribes the first two levels; deeper reads fall back to powers."""
-
-    kind = "custom"
 
     def _level(self, n):
         if n == 1:
@@ -254,8 +251,6 @@ class TwoLevelBase(ft.Filtration):
 class SkippingBase(ft.Filtration):
     """Levels (x, y), (x^3, y^3), (x^4, y^4), then m^(4n): level one
     squared is not inside level two, so this is no filtration."""
-
-    kind = "custom"
 
     def _level(self, n):
         k = {1: 1, 2: 3, 3: 4}.get(n)
@@ -482,22 +477,15 @@ class TestLeastGeneratingLevel:
             t = ft.truncate(base, a)
             least.add(t._least)
             for n in range(1, 13):
-                assert t.ideal_at(n) == truncation_by_compositions(base, a, n), (base.kind, n)
+                assert t.ideal_at(n) == truncation_by_compositions(base, a, n), (type(base).__name__, n)
         # a > 1 meets bases that regenerate from below a and ones that do not
         assert a == 1 or len(least) > 1
 
     def test_user_level_stays_everywhere_else(self):
         t = ft.truncate(ft.adic(mo.ideal(1, [(2,)])), 20)
         assert t._least == 1 and t.a == 20
-        assert se.filtration_to_json(t) == {
-            "kind": "truncated",
-            "base": {"kind": "adic", "ideal": {"dim": 1, "gens": [[2]]}},
-            "level": 20,
-        }
         est = mu.multiplicity_estimate(t, mu.TRUNCATION_EXACT)
         assert "exact along period 1, certified for i <= 20" in est.error_note
-        s = ft.truncate(sqrt2_filtration(), 4)
-        assert se.filtration_to_json(s)["level"] == 4
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_constructor_forms_only_the_base_checks_products(self, dim, monkeypatch):
@@ -668,8 +656,6 @@ class TestPeriodFromFirstLevels:
 
 class NotSubmultiplicative(ft.Filtration):
     """Level two is too deep for the product of two level ones."""
-
-    kind = "custom"
 
     def _level(self, n):
         m = mo.maximal_ideal(2)

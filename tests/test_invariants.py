@@ -26,8 +26,6 @@ SEEDS = range(5)
 class Permuted(ft.Filtration):
     """The base filtration with its variables permuted."""
 
-    kind = "permuted"
-
     def __init__(self, base, perm):
         super().__init__(base.dim)
         self.base = base

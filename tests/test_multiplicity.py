@@ -433,8 +433,6 @@ class TestExactErrorPaths:
 
     def test_non_primary_level_is_refused(self):
         class PowersOfX(ft.Filtration):
-            kind = "powers-of-x"
-
             def _level(self, n):
                 return mo.ideal(2, [(n, 0)])
 

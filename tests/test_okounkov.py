@@ -51,8 +51,6 @@ class TestDegreeBound:
     def test_non_primary_product_is_refused_at_once(self):
         # no power of m lies in (x^n), so a search for one would never end
         class PowersOfX(ft.Filtration):
-            kind = "powers-of-x"
-
             def _level(self, n):
                 return mo.ideal(2, [(n, 0)])
 
@@ -105,7 +103,7 @@ class TestValueSemigroup:
             assert len(calls) == 11
             monkeypatch.undo()
             for i in range(1, 13):
-                want = J.power(i) if f.kind == "adic" else f.fixed + J.power(i)
+                want = J.power(i) if isinstance(f, ft.AdicFiltration) else f.fixed + J.power(i)
                 assert sem._levels[i] == want
 
     def test_fresh_adic_levels_square_memoized_ones(self, monkeypatch):
@@ -180,6 +178,12 @@ class TestBody:
         sem = ok.value_semigroup([maximal_adic()], (0,), 1, 2)
         assert ok.body(sem).volume() == F(1, 2)
         assert ok.full_simplex_body(2, 1).volume() == F(1, 2)
+
+    def test_dimension_five_is_refused(self):
+        # a body's hull holds polytope.hull's dimension cap too
+        sem = ok.value_semigroup([ft.adic(mo.maximal_ideal(5))], (1,), 1, 2)
+        with pytest.raises(ValueError, match="dimension must be between 1 and 4"):
+            ok.body(sem)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_simplex_needs_no_hull(self, dim):

@@ -156,6 +156,12 @@ class TestMinkowskiSum:
         empty = RationalPolytope(2, ())
         assert minkowski_sum(empty, box2(1, 1)).is_empty()
 
+    def test_dim_cap(self):
+        # the sum's hull holds hull's dimension cap
+        edge = RationalPolytope(5, ((F(0),) * 5, (F(1),) + (F(0),) * 4))
+        with pytest.raises(ValueError, match="dimension must be between 1 and 4"):
+            minkowski_sum(edge, edge)
+
 
 class TestClip:
     def test_clip_square_to_triangle(self):

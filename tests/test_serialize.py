@@ -1,5 +1,6 @@
-"""JSON and CSV round trips for every serialized object."""
+"""Reading model specs, and the JSON and CSV forms of every report."""
 
+import copy
 import json
 from fractions import Fraction as F
 
@@ -26,6 +27,16 @@ def sqrt2_filtration():
     return ft.rounded_valuation((1,), ft.root_scale(2))
 
 
+# Literal specs of the three filtrations above.
+MAXIMAL_SPEC = {"kind": "adic", "ideal": {"dim": 2, "gens": [[1, 0], [0, 1]]}}
+LINE_PLUS_SPEC = {
+    "kind": "fixed-plus-adic",
+    "fixed": {"dim": 2, "gens": [[1, 0]]},
+    "bulk": {"dim": 2, "gens": [[1, 0], [0, 1]]},
+}
+SQRT2_SPEC = {"kind": "rounded-valuation", "weights": ["1"], "scale": {"sqrt": [2, 1]}}
+
+
 class TestFractions:
     def test_round_trip(self):
         for x in (F(0), F(5, 3), F(-7, 2), F(10**12, 7)):
@@ -41,9 +52,9 @@ class TestFractions:
 
 
 class TestIdealsAndScales:
-    def test_ideal_round_trip(self):
-        I = mo.ideal(2, [(3, 0), (1, 1), (0, 2)])
-        assert se.ideal_from_json(se.ideal_to_json(I)) == I
+    def test_ideal_read(self):
+        got = se.ideal_from_json({"dim": 2, "gens": [[3, 0], [1, 1], [0, 2]]})
+        assert got == mo.ideal(2, [(3, 0), (1, 1), (0, 2)])
 
     def test_ideal_spec_validated(self):
         with pytest.raises(ValueError):
@@ -51,9 +62,13 @@ class TestIdealsAndScales:
         with pytest.raises(ValueError):
             se.ideal_from_json([1, 2])
 
-    def test_scale_round_trip(self):
-        for s in (ft.root_scale(2), ft.rational_scale(3, 2), ft.root_scale(9, 4)):
-            assert se.scale_from_json(se.scale_to_json(s)) == s
+    def test_scale_read(self):
+        for spec, want in (
+            ({"sqrt": [2, 1]}, ft.root_scale(2)),
+            ({"rat": [3, 2]}, ft.rational_scale(3, 2)),
+            ({"sqrt": [9, 4]}, ft.root_scale(9, 4)),
+        ):
+            assert se.scale_from_json(spec) == want
 
     def test_scale_spec_validated(self):
         with pytest.raises(ValueError):
@@ -61,24 +76,42 @@ class TestIdealsAndScales:
 
 
 class TestFiltrations:
-    def test_every_kind_round_trips(self):
-        samples = [
-            maximal_adic(),
-            line_plus_powers(),
-            sqrt2_filtration(),
-            ft.truncate(sqrt2_filtration(), 3),
-            ft.rescale(ft.truncate(maximal_adic(), 2), 4),
-        ]
-        for f in samples:
-            g = se.filtration_from_json(se.filtration_to_json(f))
-            assert g.kind == f.kind
-            assert all(g.ideal_at(n) == f.ideal_at(n) for n in range(0, 8))
+    @pytest.mark.parametrize(
+        "spec, build",
+        [
+            (MAXIMAL_SPEC, maximal_adic),
+            (LINE_PLUS_SPEC, line_plus_powers),
+            (SQRT2_SPEC, sqrt2_filtration),
+            (
+                {"kind": "truncated", "base": SQRT2_SPEC, "level": 3},
+                lambda: ft.truncate(sqrt2_filtration(), 3),
+            ),
+            (
+                {
+                    "kind": "rescaled",
+                    "base": {"kind": "truncated", "base": MAXIMAL_SPEC, "level": 2},
+                    "stride": 4,
+                },
+                lambda: ft.rescale(ft.truncate(maximal_adic(), 2), 4),
+            ),
+        ],
+        ids=["adic", "fixed-plus-adic", "rounded-valuation", "truncated", "rescaled"],
+    )
+    def test_every_kind_reads_as_its_constructor_builds(self, spec, build):
+        got, want = se.filtration_from_json(spec), build()
+        assert type(got) is type(want)
+        assert all(got.ideal_at(n) == want.ideal_at(n) for n in range(0, 8))
 
-    def test_nested_structure_preserved(self):
-        f = ft.rescale(ft.truncate(sqrt2_filtration(), 3), 2)
-        obj = se.filtration_to_json(f)
-        assert obj["kind"] == "rescaled" and obj["stride"] == 2
-        assert obj["base"]["kind"] == "truncated" and obj["base"]["level"] == 3
+    def test_nested_structure_read(self):
+        spec = {
+            "kind": "rescaled",
+            "base": {"kind": "truncated", "base": SQRT2_SPEC, "level": 3},
+            "stride": 2,
+        }
+        f = se.filtration_from_json(spec)
+        assert isinstance(f, ft.RescaledFiltration) and f.s == 2
+        assert isinstance(f.base, ft.TruncatedFiltration) and f.base.a == 3
+        assert isinstance(f.base.base, ft.RoundedValuationFiltration)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -87,35 +120,55 @@ class TestFiltrations:
             se.filtration_from_json({"level": 3})
 
 
+# A one-component model whose specs hold every integer field: ideal dim and
+# exponents, truncated level, rescaled stride, sqrt and rat scale pairs.
+INTEGER_FIELDS_MODEL = {
+    "components": [
+        {
+            "weight": 1,
+            "filtrations": [
+                MAXIMAL_SPEC,
+                {"kind": "truncated", "base": LINE_PLUS_SPEC, "level": 2},
+                {
+                    "kind": "rescaled",
+                    "base": {
+                        "kind": "rounded-valuation",
+                        "weights": ["1", "1"],
+                        "scale": {"sqrt": [2, 1]},
+                    },
+                    "stride": 2,
+                },
+                {"kind": "rounded-valuation", "weights": ["1", "1"], "scale": {"rat": [3, 2]}},
+            ],
+        }
+    ]
+}
+
+
 class TestModels:
-    def test_component_model_round_trip(self):
-        tb = cp.two_branch_model()
-        got = se.model_from_json(se.model_to_json(tb))
+    def test_component_model_read(self):
+        spec = {
+            "components": [
+                {"weight": 1, "filtrations": [MAXIMAL_SPEC, LINE_PLUS_SPEC]},
+                {"weight": 1, "filtrations": [LINE_PLUS_SPEC, MAXIMAL_SPEC]},
+            ]
+        }
+        got, tb = se.model_from_json(spec), cp.two_branch_model()
         assert got.dim == 2 and got.r == 2
         assert [c.weight for c in got.components] == [1, 1]
         for cg, ct in zip(got.components, tb.components):
             for fg, fint in zip(cg.filtrations, ct.filtrations):
-                assert fg.kind == fint.kind
+                assert type(fg) is type(fint)
                 assert fg.ideal_at(3) == fint.ideal_at(3)
 
     def test_bare_filtration_list_shorthand(self):
-        obj = {
-            "filtrations": [
-                se.filtration_to_json(maximal_adic()),
-                se.filtration_to_json(line_plus_powers()),
-            ]
-        }
-        got = se.model_from_json(obj)
+        got = se.model_from_json({"filtrations": [MAXIMAL_SPEC, LINE_PLUS_SPEC]})
         assert len(got.components) == 1
         assert got.components[0].weight == 1
         assert got.r == 2
 
     def test_default_weight_is_one(self):
-        obj = {
-            "components": [
-                {"filtrations": [se.filtration_to_json(maximal_adic())]}
-            ]
-        }
+        obj = {"components": [{"filtrations": [MAXIMAL_SPEC]}]}
         assert se.model_from_json(obj).components[0].weight == 1
 
     def test_model_spec_validated(self):
@@ -138,14 +191,7 @@ class TestModels:
         ],
     )
     def test_integer_fields_must_be_json_integers(self, path, bad):
-        fs = [
-            maximal_adic(),
-            ft.truncate(line_plus_powers(), 2),
-            ft.rescale(ft.rounded_valuation((1, 1), ft.root_scale(2)), 2),
-            ft.rounded_valuation((1, 1), ft.rational_scale(3, 2)),
-        ]
-        model = cp.model([(1, fs)])
-        obj = json.loads(json.dumps(se.model_to_json(model)))
+        obj = copy.deepcopy(INTEGER_FIELDS_MODEL)
         se.model_from_json(obj)  # the unaltered spec parses
         node = obj
         for key in path[:-1]:
