@@ -65,6 +65,12 @@ _CUTOFF_CAPS = (16384, 1024, 32, 12)
 # filtrations took under 2 s on a 2-core VM with Python 3.11.
 _LADDER_CAPS = (524288, 8192, 64, 20)
 
+# Largest submult_bound per ring dimension 1, 2, 3, 4, the last for larger
+# ones: verify multiplies each pair of levels i + j <= bound, per filtration.
+# At these caps one adic filtration (1 to 5 generators) or rounded valuation
+# took under 1.5 s on a 2-core VM with Python 3.11.
+_SUBMULT_CAPS = (512, 32, 16, 8)
+
 # Expected-value sections and the keys each one takes.
 _EXPECTED_KEYS = {
     "coefficients": "{r} comma-separated nonnegative integers summing to {d}",
@@ -160,11 +166,9 @@ def validate(
         )
 
     for key in ("sigma", "tau"):
-        if params.get(key) is None:
-            continue
-        if not is_row(params[key]):
+        if key in params and not is_row(params[key]):
             problems.append(f"{key} must be a list of {r} integers")
-        elif any(c < 0 for c in params[key]):
+        elif key in params and any(c < 0 for c in params[key]):
             problems.append(f"{key} entries must be nonnegative")
     if "levels" in params:
         rows = params["levels"]
@@ -176,32 +180,15 @@ def validate(
                 problems.append(f"levels row must be {r} nonnegative integers: {bad[0]!r}")
     if "ladder" in params and not is_ladder(params["ladder"], 3):
         problems.append("ladder must be a strictly increasing list of >= 3 positive integers")
-    if "truncation_levels" in params:
-        if not is_ladder(params["truncation_levels"], 1):
-            problems.append("truncation_levels must be strictly increasing positive integers")
-        if _single_component(model) is None:
-            problems.append("truncation ladders need a single component of weight 1")
+    if "truncation_levels" in params and not is_ladder(params["truncation_levels"], 1):
+        problems.append("truncation_levels must be strictly increasing positive integers")
     for key in ("trunc_level", "cutoff", "submult_bound"):
         if key in params and (not _is_int(params[key]) or params[key] < 1):
             problems.append(f"{key} must be a positive integer")
-    cap = _CUTOFF_CAPS[min(model.dim, len(_CUTOFF_CAPS)) - 1]
-    if _is_int(params.get("cutoff")) and params["cutoff"] > cap:
-        problems.append(f"cutoff {params['cutoff']} exceeds the cap {cap} in dimension {model.dim}")
     if "order" in params and (not _is_int(params["order"]) or params["order"] < 2):
         problems.append("order must be an integer of at least 2")
-    elif params.get("backend", DIRECT) == DIRECT and "order" in params:
-        # the direct fit at order k >= 3 interpolates through the last k rungs
-        lad = params.get("ladder", DEFAULT_LADDER)
-        rungs = len(lad) if isinstance(lad, list) else len(DEFAULT_LADDER)
-        if params["order"] > rungs:
-            problems.append(f"order {params['order']} exceeds the {rungs} ladder rungs")
     if "backend" in params and params["backend"] not in (DIRECT, TRUNCATION_EXACT):
         problems.append(f"backend must be {DIRECT!r} or {TRUNCATION_EXACT!r}")
-    # a knob the backend never reads would silently do nothing
-    backend = params.get("backend", DIRECT)
-    for key, unread_by in (("trunc_level", DIRECT), ("order", TRUNCATION_EXACT)):
-        if key in params and backend == unread_by:
-            problems.append(f"{key} is not read by the {backend!r} backend")
     for key in ("tolerance", "zero_threshold"):
         if key in params:
             try:
@@ -232,48 +219,79 @@ def validate(
     return model, problems
 
 
-def _command_problems(model: ComponentModel, params: dict, command: str) -> list[str]:
-    """The size rules that depend on the command, for a config validate
-    passed: the deepest level a ladder reads (on the exact backend only
-    verify's volume identity reads one), and the level of the summed body
-    of verify's Minkowski check."""
+def _knobs(model: ComponentModel, params: dict, command: str) -> dict:
+    """Every knob as command reads it, for a config validate passed: the
+    given value, else its default, written nowhere else; None for `order`
+    off the direct backend and `cutoff` where no body is built, unless
+    given.  `single` holds the filtrations of a one-component, weight-1 model."""
+    r, get, comp = model.r, params.get, model.components[0]
+    single = list(comp.filtrations) if len(model.components) == comp.weight == 1 else None
+    backend = get("backend", DIRECT)
+    e1 = [int(j == 0) for j in range(r)]
+    body = command == "okounkov" or (command == "verify" and single is not None)
+    return {
+        "single": single,
+        "backend": backend,
+        "ladder": tuple(get("ladder", DEFAULT_LADDER)),
+        "order": get("order", 2 if backend == DIRECT else None),
+        "trunc_level": get("trunc_level"),
+        "truncation_levels": get("truncation_levels"),
+        "levels": get("levels", [[1] * r]),
+        "sigma": tuple(get("sigma", [1] * r if command == "okounkov" else e1)),
+        "tau": tuple(get("tau", [1 - c for c in e1])),
+        # verify's Minkowski check builds a summed body at twice the cutoff
+        "cutoff": get("cutoff", 8 if command == "verify" and r >= 2 else 16) if body else None,
+        "submult_bound": get("submult_bound", 8),
+        "tolerance": serialize.parse_frac(get("tolerance", "1/100")),
+        "zero_threshold": serialize.parse_frac(get("zero_threshold", str(DEFAULT_ZERO_THRESHOLD))),
+        "expected": get("expected", {}),
+    }
+
+
+def _knob_problems(model: ComponentModel, k: dict, command: str) -> list[str]:
+    """The rules on command's resolved knobs, defaults included: the model
+    shape a body or truncation ladder needs, no knob the backend never
+    reads, and the caps on ladder depth, body level and submult_bound."""
     d, problems = model.dim, []
-    ladder = params.get("ladder", list(DEFAULT_LADDER))
-    single = _single_component(model) is not None
-    if params.get("backend", DIRECT) == DIRECT:
+    # dimensions past a table take its last entry
+    ladder_cap, cutoff_cap, submult_cap = (
+        caps[min(d, len(caps)) - 1] for caps in (_LADDER_CAPS, _CUTOFF_CAPS, _SUBMULT_CAPS)
+    )
+    single = k["single"] is not None
+    if not single and command == "okounkov":
+        problems.append("semigroup bodies need a single component of weight 1")
+    if not single and k["truncation_levels"] is not None:
+        problems.append("truncation ladders need a single component of weight 1")
+    # a knob the backend never reads would silently do nothing
+    for key, unread_by in (("trunc_level", DIRECT), ("order", TRUNCATION_EXACT)):
+        if k[key] is not None and k["backend"] == unread_by:
+            problems.append(f"{key} is not read by the {unread_by!r} backend")
+    ladder = list(k["ladder"])
+    if k["backend"] == DIRECT:
+        # from order 3 on, the direct fit interpolates through that many last rungs
+        if k["order"] > len(ladder):
+            problems.append(f"order {k['order']} exceeds the {len(ladder)} ladder rungs")
         reach = {"multiplicity": 1, "mixed": d + 1, "verify": d + 1, "example1": d + 1}
         depth = reach.get(command, 0) * max(ladder)
-    else:
+    else:  # only verify's volume identity reads a ladder on the exact backend
         depth = max(ladder) if command == "verify" and single and model.r == 1 else 0
-    cap = _LADDER_CAPS[min(d, len(_LADDER_CAPS)) - 1]
-    if depth > cap:
+    if depth > ladder_cap:
         problems.append(
-            f"ladder {ladder} reads level {depth} for {command}, above the cap {cap}"
+            f"ladder {ladder} reads level {depth} for {command}, above the cap {ladder_cap}"
             f" in dimension {d}"
         )
-    cutoff = params.get("cutoff", 0)
-    cap = _CUTOFF_CAPS[min(d, len(_CUTOFF_CAPS)) - 1]
-    if command == "verify" and single and model.r >= 2 and 2 * cutoff > cap:
-        problems.append(
-            f"cutoff {cutoff} builds verify's summed body at level {2 * cutoff},"
-            f" above the cap {cap} in dimension {d}"
-        )
+    cutoff, summed = k["cutoff"], command == "verify" and model.r >= 2
+    if cutoff is not None and (2 * cutoff if summed else cutoff) > cutoff_cap:
+        what = f"builds verify's summed body at level {2 * cutoff}, above" if summed else "exceeds"
+        problems.append(f"cutoff {cutoff} {what} the cap {cutoff_cap} in dimension {d}")
+    bound = k["submult_bound"]
+    if command == "verify" and bound > submult_cap:
+        problems.append(f"submult_bound {bound} exceeds the cap {submult_cap} in dimension {d}")
     return problems
 
 
-def _single_component(model: ComponentModel):
-    if len(model.components) != 1 or model.components[0].weight != 1:
-        return None
-    return list(model.components[0].filtrations)
-
-
-def _backend_args(params):
-    return {
-        "backend": params.get("backend", DIRECT),
-        "trunc_level": params.get("trunc_level"),
-        "ladder": tuple(params["ladder"]) if "ladder" in params else None,
-        "order": params.get("order", 2),
-    }
+def _backend_args(k: dict) -> dict:
+    return {key: k[key] for key in ("backend", "trunc_level", "ladder", "order")}
 
 
 def _colengths(model: ComponentModel, levels) -> list[int]:
@@ -284,9 +302,9 @@ def _colengths(model: ComponentModel, levels) -> list[int]:
     ]
 
 
-def run_colength(model: ComponentModel, params: dict):
+def run_colength(model: ComponentModel, k: dict):
     rows = []
-    for levels in params.get("levels", [[1] * model.r]):
+    for levels in k["levels"]:
         per = _colengths(model, levels)
         rows.append(
             {"levels": list(levels), "per_component": per, "colength": sum(per)}
@@ -298,8 +316,8 @@ def run_colength(model: ComponentModel, params: dict):
     )
 
 
-def run_multiplicity(model: ComponentModel, params: dict):
-    ests = component_multiplicities(model, **_backend_args(params))
+def run_multiplicity(model: ComponentModel, k: dict):
+    ests = component_multiplicities(model, **_backend_args(k))
     per = [
         {"index": j, "multiplicity": serialize.estimate_to_json(est)}
         for j, est in enumerate(ests)
@@ -311,15 +329,13 @@ def run_multiplicity(model: ComponentModel, params: dict):
     )
 
 
-def run_mixed(model: ComponentModel, params: dict):
-    args = _backend_args(params)
+def run_mixed(model: ComponentModel, k: dict):
     entries, tl = {}, None
-    if "truncation_levels" in params:
-        # validate has checked that the model is one component of weight 1
-        tl = truncation_ladder(_single_component(model), params["truncation_levels"])
-        if args["backend"] == TRUNCATION_EXACT:
+    if k["truncation_levels"] is not None:
+        tl = truncation_ladder(k["single"], k["truncation_levels"])
+        if k["backend"] == TRUNCATION_EXACT:
             entries = dict(tl.entries)  # the model's own report may be one of them
-    rep = entries.get(args["trunc_level"]) or component_mixed(model, **args)
+    rep = entries.get(k["trunc_level"]) or component_mixed(model, **_backend_args(k))
     payload = {"kind": "mixed", "mixed": serialize.mixed_report_to_json(rep)}
     if tl is None:
         return payload, serialize._csv(
@@ -333,14 +349,10 @@ def run_mixed(model: ComponentModel, params: dict):
     return payload, serialize.ladder_to_csv(tl)
 
 
-def run_okounkov(model: ComponentModel, params: dict):
-    fs = _single_component(model)
-    if fs is None:
-        raise CliError("semigroup bodies need a single component of weight 1")
-    sigma = tuple(params.get("sigma", [1] * model.r))
-    cutoff = params.get("cutoff", 16)
+def run_okounkov(model: ComponentModel, k: dict):
+    fs, sigma = k["single"], k["sigma"]
     bound = okounkov.degree_bound(fs, sigma)
-    sem = okounkov.value_semigroup(fs, sigma, bound, cutoff)
+    sem = okounkov.value_semigroup(fs, sigma, bound, k["cutoff"])
     b = okounkov.body(sem)
     payload = {
         "kind": "okounkov",
@@ -350,7 +362,7 @@ def run_okounkov(model: ComponentModel, params: dict):
     return payload, serialize.body_to_csv(b)
 
 
-def run_verify(model: ComponentModel, params: dict):
+def run_verify(model: ComponentModel, k: dict):
     """Run the model's verification checks in order; each returns (passed,
     detail, report or None), and a check that raises fails on its own."""
     entries = []
@@ -368,15 +380,14 @@ def run_verify(model: ComponentModel, params: dict):
         if not ok:
             failed.append(name)
 
-    args = _backend_args(params)
-    fs = _single_component(model)
+    fs = k["single"]
     # One growth pipeline for every check that reads it, built on first use;
     # a failed setup is not cached, so each of those checks fails on its own.
-    pipeline = functools.cache(lambda: _WeightedGrowth(_parts(model), **args))
+    pipeline = functools.cache(lambda: _WeightedGrowth(_parts(model), **_backend_args(k)))
     mults = functools.cache(lambda: pipeline().multiplicities())
 
     def submult(f):
-        rep = check_submultiplicative(f, params.get("submult_bound", 8))
+        rep = check_submultiplicative(f, k["submult_bound"])
         detail = (
             f"levels multiply into deeper levels through {rep.bound}"
             if rep.ok
@@ -390,12 +401,7 @@ def run_verify(model: ComponentModel, params: dict):
 
     def positivity():
         if fs is not None:
-            threshold = (
-                serialize.parse_frac(params["zero_threshold"])
-                if "zero_threshold" in params
-                else DEFAULT_ZERO_THRESHOLD
-            )
-            rep = _positivity(pipeline(), threshold)
+            rep = _positivity(pipeline(), k["zero_threshold"])
             failing = [c.name for c in rep.checks if not c.passed]
             detail = "all sign checks hold" if rep.ok else f"failing: {failing}"
             return rep.ok, detail, serialize.positivity_report_to_json(rep)
@@ -409,15 +415,15 @@ def run_verify(model: ComponentModel, params: dict):
 
     check("positivity", positivity)
 
+    cutoff = k["cutoff"]
     if fs is not None and model.r == 1:
-        cutoff = params.get("cutoff", 16)
         # One value semigroup for both checks that read it, built on first use.
         semigroup = functools.cache(
             lambda: okounkov.value_semigroup(fs, (1,), okounkov.degree_bound(fs, (1,)), cutoff)
         )
 
         def identity():
-            rep = okounkov._volume_identity(fs[0], semigroup(), args["ladder"])
+            rep = okounkov._volume_identity(fs[0], semigroup(), k["ladder"])
             tol = max(Fraction(1, 100), Fraction(4, cutoff))
             ok = rep.discrepancy <= tol
             detail = f"discrepancy {serialize.frac_str(rep.discrepancy)} vs tolerance {tol}"
@@ -438,12 +444,9 @@ def run_verify(model: ComponentModel, params: dict):
         check("origin-collapse", collapse)
 
     if fs is not None and model.r >= 2:
-        cutoff = params.get("cutoff", 8)
-        sigma = tuple(params.get("sigma", [1 if j == 0 else 0 for j in range(model.r)]))
-        tau = tuple(params.get("tau", [0 if j == 0 else 1 for j in range(model.r)]))
 
         def minkowski():
-            rep = okounkov.minkowski_checks(fs, sigma, tau, cutoff)
+            rep = okounkov.minkowski_checks(fs, k["sigma"], k["tau"], cutoff)
             ok = rep.containment_pass and rep.volume_agreement is not False
             detail = (
                 f"{rep.contained_vertices} sum-body vertices contained"
@@ -454,11 +457,7 @@ def run_verify(model: ComponentModel, params: dict):
 
         check("minkowski", minkowski)
 
-    fit_tol = (
-        Fraction(0)
-        if args["backend"] == TRUNCATION_EXACT
-        else serialize.parse_frac(params.get("tolerance", "1/100"))
-    )
+    fit_tol = Fraction(0) if k["backend"] == TRUNCATION_EXACT else k["tolerance"]
 
     def expect(table, lookup, tol, label, noun):
         for key, want in sorted(table.items()):
@@ -486,17 +485,16 @@ def run_verify(model: ComponentModel, params: dict):
         ("colength", colength, 0, "colength at [{}]", "colengths"),
         ("multiplicity", multiplicity, fit_tol, "multiplicity[{}]", "multiplicities"),
     )
-    expected = params.get("expected", {})
     for section, lookup, tol, label, noun in rows:
-        if section in expected:
-            check(f"expected-{section}", expect, expected[section], lookup, tol, label, noun)
+        if section in k["expected"]:
+            check(f"expected-{section}", expect, k["expected"][section], lookup, tol, label, noun)
 
     payload = {"kind": "verify", "checks": entries, "failed": failed, "ok": not failed}
     return payload, None
 
 
-def run_example1(model: ComponentModel, params: dict):
-    pipeline = _WeightedGrowth(_parts(model), **_backend_args(params))
+def run_example1(model: ComponentModel, k: dict):
+    pipeline = _WeightedGrowth(_parts(model), **_backend_args(k))
     rep = pipeline.mixed()
     coeffs = {
         ",".join(map(str, t)): serialize.frac_str(est.value)
@@ -582,12 +580,13 @@ def main(argv=None) -> int:
         builtin = two_branch_model() if ns.command == "example1" else None
         model, problems = validate(config, builtin)
         if not problems:
-            problems = _command_problems(model, config.get("params", {}), ns.command)
+            knobs = _knobs(model, config.get("params", {}), ns.command)
+            problems = _knob_problems(model, knobs, ns.command)
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 1
-        payload, csv_text = runners[ns.command](model, config.get("params", {}))
+        payload, csv_text = runners[ns.command](model, knobs)
         _emit(payload, csv_text, ns, ns.command)
         failed = payload.get("failed", [])
         for name in failed:

@@ -72,6 +72,20 @@ def write_config(tmp_path, obj, name="job.json"):
     return str(path)
 
 
+def read_config(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def knob_problems(model, params, command):
+    """What main checks on command's knobs once their defaults are filled in."""
+    return cli._knob_problems(model, cli._knobs(model, params, command), command)
+
+
+def unit_gens(dim):
+    """The generators of the maximal ideal in dimension dim."""
+    return [[int(j == k) for j in range(dim)] for k in range(dim)]
+
+
 class TestInputProblems:
     def test_missing_config(self, capsys):
         rc, _, err = run(capsys, ["multiplicity"])
@@ -98,14 +112,14 @@ class TestInputProblems:
         assert "JSON object" in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["extras"] = {}
         rc, _, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
         assert "config error: unknown config keys" in err
 
     def test_order_must_be_at_least_two(self, capsys, tmp_path):
-        cfg = json.loads(open(LINE_PLUS, encoding="utf-8").read())
+        cfg = read_config(LINE_PLUS)
         cfg["params"]["order"] = 1
         rc, _, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
@@ -133,6 +147,8 @@ class TestInputProblems:
             ({"cutoff": True}, "cutoff must be a positive integer"),
             ({"submult_bound": True}, "submult_bound must be a positive integer"),
             ({"order": True}, "order must be an integer of at least 2"),
+            ({"sigma": None}, "sigma must be a list of 2 integers"),
+            ({"tau": None}, "tau must be a list of 2 integers"),
             ({"backend": "direct", "ladder": [True, 2, 3]}, "ladder must be"),
             ({"truncation_levels": [True]}, "truncation_levels must be"),
             ({"i_bound": 2}, "unknown params: ['i_bound']"),
@@ -198,7 +214,7 @@ class TestInputProblems:
     )
     def test_bad_params_are_config_errors(self, capsys, tmp_path, params, message):
         # a bool is not an integer, and an expected key must name a model value
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["params"].update(params)
         rc, out, err = run(capsys, ["verify", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
@@ -239,7 +255,7 @@ class TestInputProblems:
         assert len(got) == 1 and got[0].startswith(f"bad model: {message}"), got
 
     def test_order_up_to_the_ladder_rungs_is_accepted(self, capsys, tmp_path):
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["params"] = {"backend": "direct", "ladder": [2, 4, 8, 16], "order": 4}
         assert cli.validate(cfg)[1] == []
         rc, _, err = run(capsys, ["mixed", "--config", write_config(tmp_path, cfg)])
@@ -284,7 +300,7 @@ class TestInputProblems:
         rc, out, err = run(capsys, ["okounkov", "--config", write_config(tmp_path, cfg)])
         assert rc == 1
         assert out == ""
-        assert err == "error: semigroup bodies need a single component of weight 1\n"
+        assert err == "config error: semigroup bodies need a single component of weight 1\n"
 
     @pytest.mark.parametrize("model", NOT_WEIGHT_ONE, ids=["two", "weight2"])
     def test_truncation_ladder_needs_single_component(
@@ -307,7 +323,7 @@ class TestInputProblems:
 
 class TestValidateDiagnostics:
     def base(self):
-        return json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        return read_config(PLANE_PAIR)
 
     def test_missing_model(self):
         assert cli.validate({})[1] == ["config needs a model"]
@@ -383,15 +399,39 @@ class TestValidateDiagnostics:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_cutoff_cap_per_dimension(self, dim):
         cap = cli._CUTOFF_CAPS[min(dim, 4) - 1]
-        gens = [[int(j == k) for j in range(dim)] for k in range(dim)]
-        cfg = {"model": one(adic({"dim": dim, "gens": gens})), "params": {"cutoff": cap}}
-        assert cli.validate(cfg)[1] == []
-        cfg["params"]["cutoff"] = cap + 1
+        model = serialize.model_from_json(one(adic({"dim": dim, "gens": unit_gens(dim)})))
+        assert knob_problems(model, {"cutoff": cap}, "okounkov") == []
         want = f"cutoff {cap + 1} exceeds the cap {cap} in dimension {dim}"
-        assert cli.validate(cfg)[1] == [want]
+        assert knob_problems(model, {"cutoff": cap + 1}, "okounkov") == [want]
+        # colength builds no body, so it never reads the cutoff
+        assert knob_problems(model, {"cutoff": cap + 1}, "colength") == []
 
-    @pytest.mark.parametrize("command", ["okounkov", "verify"])
-    def test_oversized_cutoff_exits_at_once(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_submult_cap_per_dimension(self, dim):
+        # a component of weight 2 builds no body and, on the exact backend,
+        # reads no ladder, so only submult_bound is priced
+        cap = cli._SUBMULT_CAPS[min(dim, 4) - 1]
+        spec = adic({"dim": dim, "gens": unit_gens(dim)})
+        model = serialize.model_from_json({"components": [{"weight": 2, "filtrations": [spec]}]})
+        params = {"backend": "truncation-exact", "trunc_level": 1, "submult_bound": cap}
+        assert knob_problems(model, params, "verify") == []
+        params["submult_bound"] = cap + 1
+        want = f"submult_bound {cap + 1} exceeds the cap {cap} in dimension {dim}"
+        assert knob_problems(model, params, "verify") == [want]
+        # only verify reads submult_bound
+        assert knob_problems(model, params, "mixed") == []
+
+    @pytest.mark.parametrize(
+        "command, want",
+        [
+            ("okounkov", "cutoff 1000000 exceeds the cap 1024"),
+            (
+                "verify",
+                "cutoff 1000000 builds verify's summed body at level 2000000, above the cap 1024",
+            ),
+        ],
+    )
+    def test_oversized_cutoff_exits_at_once(self, capsys, tmp_path, command, want):
         # a plane adic body at cutoff 10^6 used to run for minutes
         cfg = self.base()
         cfg["params"]["cutoff"] = 10**6
@@ -400,77 +440,88 @@ class TestValidateDiagnostics:
         rc, out, err = run(capsys, [command, "--config", path])
         assert time.monotonic() - t0 < 1.0
         assert (rc, out) == (1, "")
-        assert err == "config error: cutoff 1000000 exceeds the cap 1024 in dimension 2\n"
+        assert err == f"config error: {want} in dimension 2\n"
 
-    def test_shipped_configs_stay_under_the_cap(self):
-        # the defaults are 16, and 8 for verify's Minkowski check; every
-        # command's ladder depth and verify's summed body stay under theirs
+    def test_oversized_submult_bound_exits_at_once(self, capsys, tmp_path):
+        # plane_pair's submultiplicativity checks ran for over 20 s at 10^5
+        cfg = self.base()
+        cfg["params"]["submult_bound"] = 100000
+        path = write_config(tmp_path, cfg)
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, ["verify", "--config", path])
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        assert err == "config error: submult_bound 100000 exceeds the cap 32 in dimension 2\n"
+
+    def test_shipped_configs_stay_under_the_caps(self):
+        # every command, at its defaults or the config's values
         paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
         assert len(paths) == 4
         for path in paths:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
-            model, problems = cli.validate(cfg)
+            model, problems = cli.validate(read_config(path))
             assert problems == []
-            cap = cli._CUTOFF_CAPS[min(model.dim, 4) - 1]
-            assert cfg["params"].get("cutoff", 16) <= cap
-            for command in ("multiplicity", "mixed", "verify"):
-                assert cli._command_problems(model, cfg["params"], command) == [], path
-        model = two_branch_model()
-        assert cli._command_problems(model, {}, "example1") == []
+            for command in ("colength", "multiplicity", "mixed", "okounkov", "verify"):
+                assert knob_problems(model, read_config(path)["params"], command) == [], path
+        assert knob_problems(two_branch_model(), {}, "example1") == []
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("command", ["multiplicity", "mixed", "verify", "example1"])
     def test_ladder_cap_per_dimension(self, dim, command):
-        # multiplicity reads max(ladder); a mixed report reads (d+1)*max(ladder)
+        # multiplicity reads max(ladder); a mixed report reads (d+1)*max(ladder).
+        # cutoff 4 keeps verify's summed body under its cap in every dimension.
         cap = cli._LADDER_CAPS[min(dim, 4) - 1]
-        gens = [[int(j == k) for j in range(dim)] for k in range(dim)]
-        model = serialize.model_from_json({"filtrations": [adic({"dim": dim, "gens": gens})] * 2})
+        spec = adic({"dim": dim, "gens": unit_gens(dim)})
+        model = serialize.model_from_json({"filtrations": [spec] * 2})
         reach = 1 if command == "multiplicity" else dim + 1
         top = cap // reach
-        assert cli._command_problems(model, {"ladder": [1, 2, top]}, command) == []
+        assert knob_problems(model, {"ladder": [1, 2, top], "cutoff": 4}, command) == []
         want = (
             f"ladder [1, 2, {top + 1}] reads level {reach * (top + 1)} for {command},"
             f" above the cap {cap} in dimension {dim}"
         )
-        assert cli._command_problems(model, {"ladder": [1, 2, top + 1]}, command) == [want]
+        assert knob_problems(model, {"ladder": [1, 2, top + 1], "cutoff": 4}, command) == [want]
         # the exact backend reads a ladder only for the volume identity of
         # verify on one filtration, never for a pair
-        exact = {"backend": "truncation-exact", "ladder": [1, 2, 10 * cap]}
-        assert cli._command_problems(model, exact, command) == []
+        exact = {"backend": "truncation-exact", "ladder": [1, 2, 10 * cap], "cutoff": 4}
+        assert knob_problems(model, exact, command) == []
 
     @pytest.mark.parametrize(
         "command, dim, count, params, want",
         [
             # a dim-3 pair read level 128 at the default ladder in 15 to 17 s
-            ("mixed", 3, 2, {}, "ladder [8, 16, 32] reads level 128 for mixed, above the cap 64"),
-            ("verify", 3, 2, {}, "ladder [8, 16, 32] reads level 128 for verify, above the cap 64"),
+            ("mixed", 3, 2, {}, ["ladder [8, 16, 32] reads level 128 for mixed, above the cap 64"]),
+            (
+                "verify", 3, 2, {},
+                ["ladder [8, 16, 32] reads level 128 for verify, above the cap 64"],
+            ),
             (
                 "multiplicity", 4, 2, {},
-                "ladder [8, 16, 32] reads level 32 for multiplicity, above the cap 20",
+                ["ladder [8, 16, 32] reads level 32 for multiplicity, above the cap 20"],
             ),
             (
                 "verify", 4, 1, {"backend": "truncation-exact", "trunc_level": 1},
-                "ladder [8, 16, 32] reads level 32 for verify, above the cap 20",
+                [
+                    "ladder [8, 16, 32] reads level 32 for verify, above the cap 20",
+                    "cutoff 16 exceeds the cap 12",
+                ],
             ),
         ],
     )
     def test_oversized_ladder_exits_at_once(
         self, capsys, tmp_path, command, dim, count, params, want
     ):
-        gens = [[int(j == k) for j in range(dim)] for k in range(dim)]
-        model = {"filtrations": [adic({"dim": dim, "gens": gens})] * count}
+        model = {"filtrations": [adic({"dim": dim, "gens": unit_gens(dim)})] * count}
         path = write_config(tmp_path, {"model": model, "params": params})
         t0 = time.monotonic()
         rc, out, err = run(capsys, [command, "--config", path])
         assert time.monotonic() - t0 < 1.0
         assert (rc, out) == (1, "")
-        assert err == f"config error: {want} in dimension {dim}\n"
+        assert err == "".join(f"config error: {w} in dimension {dim}\n" for w in want)
 
     def test_verify_summed_body_is_capped(self, capsys, tmp_path):
         # verify builds a pair's summed body at twice the cutoff: a dim-3
         # pair at cutoff 32, the okounkov cap, built a level-64 body in 36 s
-        gens = [[int(j == k) for j in range(3)] for k in range(3)]
-        pair = {"filtrations": [adic({"dim": 3, "gens": gens})] * 2}
+        pair = {"filtrations": [adic({"dim": 3, "gens": unit_gens(3)})] * 2}
         params = {"backend": "truncation-exact", "trunc_level": 1, "cutoff": 20}
         path = write_config(tmp_path, {"model": pair, "params": params})
         t0 = time.monotonic()
@@ -483,8 +534,50 @@ class TestValidateDiagnostics:
         )
         # okounkov builds no summed body, and cutoff 16 keeps it at the cap
         model = serialize.model_from_json(pair)
-        assert cli._command_problems(model, params, "okounkov") == []
-        assert cli._command_problems(model, {**params, "cutoff": 16}, "verify") == []
+        assert knob_problems(model, params, "okounkov") == []
+        assert knob_problems(model, {**params, "cutoff": 16}, "verify") == []
+
+
+class TestDefaultsMeetTheCaps:
+    """A default is checked against its cap exactly as a given value is.
+    The model is the dim-4 pair adic((x², y, z², w, xz)), adic(m) on the
+    exact backend, where okounkov at the default cutoff 16 ran for 7 s."""
+
+    MODEL = {
+        "filtrations": [
+            adic(
+                {
+                    "dim": 4,
+                    "gens": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1], [1, 0, 1, 0]],
+                }
+            ),
+            adic({"dim": 4, "gens": unit_gens(4)}),
+        ]
+    }
+    PARAMS = {"backend": "truncation-exact", "trunc_level": 1}
+
+    @pytest.mark.parametrize(
+        "command, want",
+        [
+            ("okounkov", "cutoff 16 exceeds the cap 12 in dimension 4"),
+            (
+                "verify",
+                "cutoff 8 builds verify's summed body at level 16, above the cap 12 in dimension 4",
+            ),
+        ],
+    )
+    def test_default_cutoff_over_its_cap_exits_at_once(self, capsys, tmp_path, command, want):
+        path = write_config(tmp_path, {"model": self.MODEL, "params": self.PARAMS})
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, [command, "--config", path])
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out, err) == (1, "", f"config error: {want}\n")
+
+    @pytest.mark.parametrize("command", ["colength", "mixed"])
+    def test_commands_without_a_body_still_run(self, capsys, tmp_path, command):
+        path = write_config(tmp_path, {"model": self.MODEL, "params": self.PARAMS})
+        rc, _, err = run(capsys, [command, "--config", path, "--no-timestamp"])
+        assert (rc, err) == (0, "")
 
 
 class TestCommandsOnShippedConfigs:
@@ -502,7 +595,7 @@ class TestCommandsOnShippedConfigs:
         }
 
     def test_colength_with_levels(self, capsys, tmp_path):
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["params"] = {"levels": [[1, 1], [2, 2]]}
         rc, out, _ = run(
             capsys,
@@ -684,6 +777,12 @@ class TestReadme:
         listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
         assert f"at most {listed} in dimensions 1, 2, 3 and 4" in self.knob_rows("okounkov")
 
+    def test_knob_table_lists_the_submult_caps(self):
+        caps = cli._SUBMULT_CAPS
+        listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
+        row = self.knob_rows("verify")
+        assert f"`submult_bound`: 8, at most {listed} in dimensions 1, 2, 3 and 4" in row
+
     def test_knob_table_lists_the_ladder_caps(self):
         caps = cli._LADDER_CAPS
         listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
@@ -740,7 +839,7 @@ class TestReadme:
         self, capsys, tmp_path, command, config, key, value, documented
     ):
         assert documented in self.knob_rows(command)
-        cfg = json.loads(open(config, encoding="utf-8").read())
+        cfg = read_config(config)
         cfg["params"].pop(key, None)
         outs = []
         for name in ("without.json", "with.json"):
@@ -755,7 +854,7 @@ class TestReadme:
 class TestCheckBound:
     def test_the_period_needs_no_bound(self, capsys, tmp_path):
         # the 4-truncation's period is 2; period 1 holds at i = 1 only
-        cfg = json.loads(open(SQRT2, encoding="utf-8").read())
+        cfg = read_config(SQRT2)
         cfg["params"] = {"backend": "truncation-exact", "trunc_level": 4}
         path = write_config(tmp_path, cfg)
         rc, out, _ = run(capsys, ["multiplicity", "--config", path, "--no-timestamp"])
@@ -767,7 +866,7 @@ class TestCheckBound:
 
 class TestVerifyFailures:
     def test_wrong_expected_coefficient(self, capsys, tmp_path):
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["params"]["expected"]["coefficients"]["1,1"] = "7"
         rc, out, err = run(
             capsys, ["verify", "--config", write_config(tmp_path, cfg), "--no-timestamp"]
@@ -779,7 +878,7 @@ class TestVerifyFailures:
         assert "expected-coefficients" in obj["failed"]
 
     def test_wrong_expected_colength(self, capsys, tmp_path):
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["params"]["expected"]["colength"]["1,1"] = "5"
         rc, _, err = run(
             capsys, ["verify", "--config", write_config(tmp_path, cfg), "--no-timestamp"]
@@ -791,7 +890,7 @@ class TestVerifyFailures:
     def test_tolerance_sets_only_the_expected_match(self, capsys, tmp_path, want, rc):
         # the direct ladder reads 181/128; 363/256 is 1/256 away, beyond
         # tolerance 1/1000, while the body checks keep their own thresholds
-        cfg = json.loads(open(SQRT2, encoding="utf-8").read())
+        cfg = read_config(SQRT2)
         cfg["params"]["expected"] = {"multiplicity": {"0": want}}
         cfg["params"]["tolerance"] = "1/1000"
         got, out, _ = run(
@@ -805,7 +904,7 @@ class TestVerifyFailures:
         assert checks["origin-collapse"]["report"]["tolerance"] == "1/8"
 
     def test_expected_multiplicity_index_out_of_range(self, capsys, tmp_path):
-        cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+        cfg = read_config(PLANE_PAIR)
         cfg["params"]["expected"]["multiplicity"] = {"-1": "2"}
         rc, out, err = run(
             capsys, ["verify", "--config", write_config(tmp_path, cfg), "--no-timestamp"]
@@ -973,7 +1072,7 @@ def two_branch_config():
 
 
 def plane_pair_wrong_coefficient():
-    cfg = json.loads(open(PLANE_PAIR, encoding="utf-8").read())
+    cfg = read_config(PLANE_PAIR)
     cfg["params"]["expected"]["coefficients"]["1,1"] = "7"
     return cfg
 
