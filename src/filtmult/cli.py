@@ -58,11 +58,13 @@ _PARAM_KEYS = {
 # with Python 3.11.
 _CUTOFF_CAPS = (16384, 1024, 32, 12)
 
-# Deepest level a ladder may read, per ring dimension 1, 2, 3, 4, the last
-# for larger ones: max(ladder) for `multiplicity`, and (d+1)*max(ladder),
-# the grid point (d+1, 1, ..., 1), for a mixed report.  At these caps `mixed`
-# on a pair of adic, fixed-plus-adic, truncated or rounded-valuation
-# filtrations took under 2 s on a 2-core VM with Python 3.11.
+# Deepest level a command may read, per ring dimension 1, 2, 3, 4, the last
+# for larger ones: max(ladder) for `multiplicity`, (d+1)*max(ladder), the
+# grid point (d+1, 1, ..., 1), for a mixed report, and the largest entry of
+# a `colength` levels row or of a key of verify's expected colengths.  At
+# these caps `mixed` on a pair of adic, fixed-plus-adic, truncated or
+# rounded-valuation filtrations took under 2 s on a 2-core VM with Python
+# 3.11, and `colength` on plane_pair.json at [[8192, 8192]] took 0.3 s.
 _LADDER_CAPS = (524288, 8192, 64, 20)
 
 # Largest submult_bound per ring dimension 1, 2, 3, 4, the last for larger
@@ -251,7 +253,8 @@ def _knobs(model: ComponentModel, params: dict, command: str) -> dict:
 def _knob_problems(model: ComponentModel, k: dict, command: str) -> list[str]:
     """The rules on command's resolved knobs, defaults included: the model
     shape a body or truncation ladder needs, no knob the backend never
-    reads, and the caps on ladder depth, body level and submult_bound."""
+    reads, and the caps on ladder and level depth, body level and
+    submult_bound."""
     d, problems = model.dim, []
     # dimensions past a table take its last entry
     ladder_cap, cutoff_cap, submult_cap = (
@@ -280,6 +283,20 @@ def _knob_problems(model: ComponentModel, k: dict, command: str) -> list[str]:
             f"ladder {ladder} reads level {depth} for {command}, above the cap {ladder_cap}"
             f" in dimension {d}"
         )
+    # a colength row reads its product ideal at the row's deepest level, as a rung does
+    if command == "colength":
+        rows = [(f"levels row {row}", row) for row in k["levels"]]
+    elif command == "verify":
+        keys = k["expected"].get("colength", {})
+        rows = [(f"expected colength key {key!r}", serialize.parse_type_key(key)) for key in keys]
+    else:
+        rows = []
+    for name, row in rows:
+        if max(row) > ladder_cap:
+            problems.append(
+                f"{name} reads level {max(row)}, above the cap {ladder_cap} in dimension {d}"
+            )
+            break
     cutoff, summed = k["cutoff"], command == "verify" and model.r >= 2
     if cutoff is not None and (2 * cutoff if summed else cutoff) > cutoff_cap:
         what = f"builds verify's summed body at level {2 * cutoff}, above" if summed else "exceeds"

@@ -65,10 +65,21 @@ def _reduced(m: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix via fraction-free (Bareiss) elimination."""
+    """Determinant of an integer matrix, entries read with int().
+
+    Closed forms for n <= 3 (n = 0 gives 1), which is every facet minor and
+    every simplex below dimension 4; fraction-free (Bareiss) elimination
+    from n = 4 on.
+    """
     n = len(a)
-    if n == 0:
-        return 1
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (map(int, row) for row in a)
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    if n == 2:
+        (a0, a1), (b0, b1) = (map(int, row) for row in a)
+        return a0 * b1 - a1 * b0
+    if n <= 1:
+        return int(a[0][0]) if n else 1
     m = [list(map(int, row)) for row in a]
     sign = 1
     prev = 1

@@ -91,7 +91,7 @@ def _staircase_product(
                 b = get(x)
                 if b is None or y < b:
                     least[x] = y
-    return _minimal(sorted(least.items()), 2)
+    return _minimal([(x, least[x]) for x in sorted(least)], 2)
 
 
 def _undominated_pairs(

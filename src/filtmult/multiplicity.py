@@ -13,9 +13,10 @@ Vandermonde system extracts mixed multiplicities.  Both fits are linear in
 the sampled values, with weights fixed by the sample points alone: the
 ladder limit is a weighted sum of the tail, and the grid fit a product
 with the inverse evaluation matrix.  Those weights are found once per
-point set, in bounded caches, so each fit is a dot product in exact
-Fractions.  The positivity report checks the sign and vanishing structure
-those coefficients must satisfy.  Multiplicities and mixed
+point set, in bounded caches, so each fit is a dot product: the ladder
+limit's in exact Fractions, the grid fit's in integers over one common
+denominator.  The positivity report checks the sign and vanishing
+structure those coefficients must satisfy.  Multiplicities and mixed
 multiplicities, of a filtration list or of a weighted component model,
 all come from one weighted growth pipeline.
 """
@@ -224,18 +225,24 @@ def fit_homogeneous(points, values, d: int, r: int) -> dict[tuple[int, ...], Fra
     ys = [Fraction(v) for v in values]
     if len(pts) != len(tvs) or len(ys) != len(tvs):
         raise ValueError("point and value counts must match coefficient count")
-    inv = _fit_inverse(pts, d, r)
-    return {t: sum(map(operator.mul, row, ys), Fraction(0)) for t, row in zip(tvs, inv)}
+    den, inv = _fit_inverse(pts, d, r)
+    scale = math.lcm(*(y.denominator for y in ys))
+    nums = [y.numerator * (scale // y.denominator) for y in ys]
+    den *= scale
+    return {t: Fraction(sum(map(operator.mul, row, nums)), den) for t, row in zip(tvs, inv)}
 
 
 @functools.lru_cache(maxsize=64)
-def _fit_inverse(points, d: int, r: int) -> tuple[tuple[Fraction, ...], ...]:
+def _fit_inverse(points, d: int, r: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Inverse of the evaluation matrix of the type-vector monomials at
-    points, found once per point set: each fit on it is then one
-    matrix-vector product."""
+    points, found once per point set, as (den, rows): den is the lcm of its
+    denominators and rows the integer matrix den * inverse.  A fit on it
+    is then one integer matrix-vector product over one denominator."""
     tvs = type_vectors(d, r)
     rows = [[math.prod(p[i] ** t[i] for i in range(r)) for t in tvs] for p in points]
-    return tuple(map(tuple, linalg.inverse(rows)))
+    inv = linalg.inverse(rows)
+    den = math.lcm(*(c.denominator for row in inv for c in row))
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in inv)
 
 
 def _factorial_product(t) -> int:

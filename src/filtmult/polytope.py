@@ -158,11 +158,16 @@ def _normal_through(points: Sequence[Sequence], dim: int):
     """Normal of the affine hyperplane through dim integer points, or None
     if degenerate.
 
-    Computed by cofactor expansion of the difference matrix, so the normal
-    is an integer vector.
+    The cofactors of the difference matrix, so the normal is an integer
+    vector: in dimension 3 the cross product of the two differences, in
+    the others one closed-form or Bareiss minor per coordinate.
     """
     base = points[0]
     diffs = [[p[i] - base[i] for i in range(dim)] for p in points[1:]]
+    if dim == 3:
+        (a0, a1, a2), (b0, b1, b2) = diffs
+        normal = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+        return normal if any(normal) else None
     normal = []
     sign = 1
     for k in range(dim):

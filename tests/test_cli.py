@@ -485,6 +485,58 @@ class TestValidateDiagnostics:
         exact = {"backend": "truncation-exact", "ladder": [1, 2, 10 * cap], "cutoff": 4}
         assert knob_problems(model, exact, command) == []
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_level_cap_per_dimension(self, dim):
+        # colength reads each levels row, and verify each expected colength
+        # key, at its deepest entry, under the ladder cap; the exact backend
+        # and cutoff 4 keep verify's other knobs under their caps
+        cap = cli._LADDER_CAPS[min(dim, 4) - 1]
+        spec = adic({"dim": dim, "gens": unit_gens(dim)})
+        model = serialize.model_from_json({"filtrations": [spec] * 2})
+        exact = {"backend": "truncation-exact", "trunc_level": 1, "cutoff": 4}
+        rows = [[1, 1], [cap, 0], [0, cap]]
+        assert knob_problems(model, {"levels": rows}, "colength") == []
+        table = {"colength": {f"{a},{b}": "1" for a, b in rows}}
+        assert knob_problems(model, {**exact, "expected": table}, "verify") == []
+        # the first row over the cap is named
+        rows += [[0, cap + 1], [cap + 2, 1]]
+        want = f"reads level {cap + 1}, above the cap {cap} in dimension {dim}"
+        assert knob_problems(model, {"levels": rows}, "colength") == [
+            f"levels row [0, {cap + 1}] {want}"
+        ]
+        table = {"colength": {f"{a},{b}": "1" for a, b in rows}}
+        assert knob_problems(model, {**exact, "expected": table}, "verify") == [
+            f"expected colength key '0,{cap + 1}' {want}"
+        ]
+        # no other command reads levels or expected colengths
+        for command in ("multiplicity", "mixed", "okounkov"):
+            assert knob_problems(model, {**exact, "levels": rows}, command) == []
+        assert knob_problems(model, {**exact, "levels": rows}, "verify") == []
+        assert knob_problems(model, {"expected": table}, "colength") == []
+
+    @pytest.mark.parametrize(
+        "command, params, want",
+        [
+            ("colength", {"levels": [[1, 1], [10**6, 10**6]]}, "levels row [1000000, 1000000]"),
+            (
+                "verify",
+                {"expected": {"colength": {"1,1": "4", "1000000,1000000": "1"}}},
+                "expected colength key '1000000,1000000'",
+            ),
+        ],
+    )
+    def test_oversized_levels_exit_at_once(self, capsys, tmp_path, command, params, want):
+        # plane_pair's colength at levels [10^6, 10^6] ran for 8 s
+        cfg = self.base()
+        cfg["params"].update(params)
+        path = write_config(tmp_path, cfg)
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, [command, "--config", path])
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        cap = "reads level 1000000, above the cap 8192 in dimension 2"
+        assert err == f"config error: {want} {cap}\n"
+
     @pytest.mark.parametrize(
         "command, dim, count, params, want",
         [
@@ -788,6 +840,9 @@ class TestReadme:
         listed = ", ".join(map(str, caps[:-1])) + f" and {caps[-1]}"
         row = self.knob_rows("multiplicity")
         assert f"the ladder reads, at most {listed} in dimensions 1, 2, 3 and 4" in row
+        # the same caps bound colength's levels rows
+        row = self.knob_rows("colength")
+        assert f"deepest entry at most {listed} in dimensions 1, 2, 3 and 4" in row
 
     def test_python_blocks_print_what_their_comments_state(self, capsys):
         # Each block runs in one shared namespace, as a reader would paste

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fit_affine, lp_feasible, matrix_rank
+from conftest import det, fit_affine, lp_feasible, matrix_rank
 from filtmult import linalg
 
 
@@ -87,6 +87,33 @@ class TestRankAndDet:
 
     def test_empty_det_is_one(self):
         assert linalg.int_det([]) == 1
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_int_det_matches_the_fraction_oracle(self, n):
+        # every size path: 0 x 0, the closed forms to 3 x 3, Bareiss from 4 x 4
+        rng = random.Random(n)
+
+        def rand(lo, hi):
+            return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+        cases = [rand(-50, 50) for _ in range(100)]
+        cases += [rand(10**12 - 50, 10**12 + 50) for _ in range(20)]
+        cases += [rand(-(10**12), 10**12) for _ in range(20)]
+        for a in rand(-50, 50), rand(-3, 3), rand(-(10**12), 10**12):
+            if n >= 2:
+                # a repeated row, a row summing two others, a leading zero
+                # pivot that needs a swap, and a zero first column
+                cases.append(a[:-1] + [a[0]])
+                if n >= 3:
+                    cases.append(a[:-1] + [[x + y for x, y in zip(a[0], a[1])]])
+                cases.append([[0] + a[0][1:]] + a[1:])
+                cases.append([[0] + row[1:] for row in a])
+        for a in cases:
+            got = linalg.int_det(a)
+            assert type(got) is int
+            assert got == det(a), a
+        # entries are read with int(), as from integral Fractions
+        assert linalg.int_det([[F(x) for x in row] for row in cases[0]]) == det(cases[0])
 
 
 class TestFitAffine:

@@ -154,14 +154,20 @@ class TestCachedFits:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_fit_matches_direct_solve(self, d, r):
+        # the fit runs on integers over one denominator; the oracle is the
+        # Fraction solve, for Fraction values and for ints
         grid = mu.sample_grid(d, r)
         tvs = mu.type_vectors(d, r)
         rows = [[math.prod(p[i] ** t[i] for i in range(r)) for t in tvs] for p in grid]
         rng = random.Random(10 * d + r)
         for _ in range(3):
-            values = [F(rng.randint(-99, 99), rng.randint(1, 20)) for _ in grid]
-            want = dict(zip(tvs, linalg.solve_linear(rows, values)))
-            assert mu.fit_homogeneous(grid, values, d, r) == want
+            fracs = [F(rng.randint(-99, 99), rng.randint(1, 20)) for _ in grid]
+            ints = [rng.randint(-(10**12), 10**12) for _ in grid]
+            for values in fracs, ints:
+                want = dict(zip(tvs, linalg.solve_linear(rows, values)))
+                got = mu.fit_homogeneous(grid, values, d, r)
+                assert got == want
+                assert all(type(c) is F for c in got.values())
 
     def test_warm_fits_solve_nothing(self, monkeypatch):
         grid = mu.sample_grid(3, 2)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    _normal_through,
     brute_orthant_covolume,
     brute_volume,
     far_point_covolume,
@@ -372,6 +373,19 @@ class TestFacetHullAgainstOracles:
             # int, Fraction, float and str coordinates give the hull of
             # their Fractions
             assert hull(dim, _retyped(pts)) == h, pts
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_normal_through_matches_the_cofactor_oracle(self, dim):
+        # dim 3 takes the cross product, the others the cofactor loop
+        rng = random.Random(dim)
+        for _ in range(200):
+            pts = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(dim)]
+            # degenerate: a repeated point, and the first three on a line
+            dup = pts[:-1] + [pts[0]]
+            line = pts[:2] + [[2 * b - a for a, b in zip(*pts[:2])]] + pts[3:]
+            for case in (pts, dup) if dim == 2 else (pts, dup, line):
+                assert polytope._normal_through(case, dim) == _normal_through(case, dim), case
+        assert polytope._normal_through([(1, 2, 3), (1, 2, 3), (4, 5, 6)], 3) is None
 
     @pytest.mark.parametrize("dim,count", [(1, 20), (2, 25), (3, 25), (4, 10)])
     def test_contains_point(self, dim, count):
