@@ -456,7 +456,7 @@ def run_verify(model: ComponentModel, k: dict):
                 if not rep.triggered
                 else f"gap {rep.gap_at_half} -> {rep.gap_at_full}"
             )
-            return ok, detail, serialize.origin_collapse_to_json(rep)
+            return ok, detail, serialize.report_to_json(rep)
 
         check("origin-collapse", collapse)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, lcm
+from typing import NamedTuple
 
 from . import monomial, polytope
 from .filtration import Filtration
@@ -233,6 +234,14 @@ def _volume_identity(f: Filtration, sem: ValueSemigroup, ladder) -> VolumeIdenti
     )
 
 
+class Witness(NamedTuple):
+    """A quotient point near the origin: an exponent at a level, each of
+    its coordinates at most the tolerance times the level."""
+
+    exponent: tuple
+    level: int
+
+
 @dataclass(frozen=True)
 class OriginCollapseReport:
     """Whether quotient points approach the origin, and what that does to
@@ -241,7 +250,7 @@ class OriginCollapseReport:
     cutoff: int
     tolerance: Fraction
     triggered: bool
-    witness: tuple | None
+    witness: Witness | None
     gap_at_half: Fraction | None
     gap_at_full: Fraction | None
     gap_decreasing: bool | None
@@ -268,7 +277,7 @@ def _origin_collapse(
         if candidate is not None and all(
             Fraction(c, i) <= tolerance for c in candidate
         ):
-            witness = (candidate, i)
+            witness = Witness(candidate, i)
             break
     if witness is None:
         return OriginCollapseReport(

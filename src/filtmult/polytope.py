@@ -9,11 +9,12 @@ Geometry, 1987; Barber, Dobkin and Huhdanpaa, ACM TOMS 1996).  It runs on
 the points scaled to integers and returns simplicial facets with integer
 inner normals.  A point set that does not span its space is projected onto
 coordinates that are injective on its affine hull and handled one
-dimension down.  A polytope builds the facet hull of its vertices once,
-on first use, for all its volume and containment queries.
+dimension down.  The facet hull that finds a polytope's vertices stays
+with it and answers all its volume and containment queries; a polytope
+built directly from its vertices hulls them once, on first use.
 
-Every hull enters through one integer entry (_hull_ints): distinct
-integer points over one common denominator.  `hull` scales its rational
+Every hull enters through one integer entry (_hull_ints): integer points
+over one common denominator.  `hull` scales its rational
 input to it; `minkowski_sum` adds the two vertex sets as integers over
 one denominator; okounkov hands it a body's extreme feet and their ray
 points as integers over lcm(1..cutoff), so no point of a large input is
@@ -77,22 +78,10 @@ class RationalPolytope:
 
     @cached_property
     def _hull(self) -> tuple:
-        """The facet hull of the (nonempty) vertices, built on first use.
-
-        Returns (den, base, cols, facets): den scales the vertices to
-        integers, base holds the scaled vertices at an affine basis of their
-        affine hull, and cols are coordinates injective on it.  When the
-        vertices span the space, facets is their _facets; otherwise it is
-        the projection onto cols, a polytope of dimension len(cols) that
-        caches its own hull.
-        """
-        den, ints = _scaled(self.vertices)
-        frame, cols = _frame(ints)
-        base = [ints[i] for i in frame]
-        if len(cols) < self.dim:
-            low = tuple(tuple(v[c] for c in cols) for v in self.vertices)
-            return den, base, cols, RationalPolytope(len(cols), low)
-        return den, base, cols, _facets(ints, frame)
+        """The facet hull of the (nonempty) vertices, for a polytope built
+        directly from them; _hull_ints places it on every other polytope.
+        See _hull_ints for its form."""
+        return _hull_ints(self.dim, *_scaled(self.vertices))._hull
 
 
 @dataclass(frozen=True)
@@ -115,28 +104,39 @@ def hull(dim: int, points: Iterable[Sequence]) -> RationalPolytope:
 
 
 def _hull_ints(dim: int, den: int, ints: Iterable[tuple[int, ...]]) -> RationalPolytope:
-    """Convex hull of the points ints / den, for distinct integer points ints.
+    """Convex hull of the points ints / den, for integer points ints.
 
     Scaling by 1/den keeps the lexicographic order, so the vertices come
     out sorted, as reduced Fractions, whatever common denominator is used.
     Every hull comes through here, so this is where the dimension cap holds.
+
+    The facet hull that finds the vertices stays on the polytope as its
+    cached _hull, (den, base, cols, facets), for all its volume and
+    containment queries.  base holds the points at an affine basis of
+    their affine hull and cols coordinates injective on it.  facets is the
+    points' _facets, which triangulate the whole boundary, when they span
+    the space; otherwise it is the hull of their projection onto cols,
+    whose vertices are the images of the vertices (None for one point).
     """
     if dim < 1 or dim > DIM_CAP:
         raise ValueError(f"dimension must be between 1 and {DIM_CAP}")
     ints = sorted(ints)
-    ext = _extreme(ints) if len(ints) > 1 else range(len(ints))
-    verts = (tuple(Fraction(c, den) for c in ints[i]) for i in sorted(ext))
-    return RationalPolytope(dim, tuple(verts))
-
-
-def _extreme(ints: list[tuple[int, ...]]) -> list[int]:
-    """Indices of the hull's vertices among two or more distinct integer points."""
+    if not ints:
+        return RationalPolytope(dim, ())
     frame, cols = _frame(ints)
-    if len(cols) < len(ints[0]):
-        # Flat: the projection onto cols is injective on the affine hull,
-        # so it maps vertices to vertices.
-        return _extreme([tuple(p[c] for c in cols) for p in ints])
-    return _vertex_indices(_facets(ints, frame), len(cols), len(ints))
+    if len(cols) == dim:
+        facets = _facets(ints, frame)
+        verts = [ints[i] for i in sorted(_vertex_indices(facets, dim, len(ints)))]
+    elif cols:
+        lift = {tuple(p[c] for c in cols): p for p in ints}
+        facets = _hull_ints(len(cols), den, lift)
+        verts = sorted(lift[tuple(int(c * den) for c in v)] for v in facets.vertices)
+    else:
+        facets, verts = None, ints[:1]
+    p = RationalPolytope(dim, tuple(tuple(Fraction(c, den) for c in v) for v in verts))
+    # cached_property reads the instance dict first
+    p.__dict__["_hull"] = den, [ints[i] for i in frame], cols, facets
+    return p
 
 
 def volume(p: RationalPolytope) -> Fraction:
@@ -308,7 +308,7 @@ def clip(p: RationalPolytope, h: Halfspace) -> RationalPolytope:
     inside = [v for v, s in zip(p.vertices, vals) if s <= bound]
     outside = [(v, s) for v, s in zip(p.vertices, vals) if s > bound]
     if not outside:
-        return RationalPolytope(p.dim, p.vertices)
+        return p
     candidates = list(inside)
     for v, s in zip(p.vertices, vals):
         if s >= bound:
@@ -334,7 +334,7 @@ def contains_point(p: RationalPolytope, point: Sequence) -> bool:
         span = [tuple(c * xden for c in b) for b in base] + [tuple(c * den for c in y)]
         if len(_frame(span)[1]) > len(cols):
             return False
-        # facets holds the projection onto cols here
+        # facets holds the hull of the projection onto cols here
         return not cols or contains_point(facets, tuple(x[c] for c in cols))
     return all(_dot(normal, y) * den >= offset * xden for normal, offset, _ in facets)
 

@@ -259,30 +259,13 @@ def body_to_csv(b: okounkov.OkounkovBody) -> str:
     )
 
 
-def origin_collapse_to_json(rep: okounkov.OriginCollapseReport) -> dict:
-    return {
-        "kind": "origin-collapse",
-        "cutoff": rep.cutoff,
-        "tolerance": frac_str(rep.tolerance),
-        "triggered": rep.triggered,
-        "witness": (
-            None
-            if rep.witness is None
-            else {"exponent": list(rep.witness[0]), "level": rep.witness[1]}
-        ),
-        "gap_at_half": None if rep.gap_at_half is None else frac_str(rep.gap_at_half),
-        "gap_at_full": None if rep.gap_at_full is None else frac_str(rep.gap_at_full),
-        "gap_decreasing": rep.gap_decreasing,
-    }
-
-
 # The reports whose JSON is their fields: each field under its own name, plus
 # the kind named here.  estimate_to_json, mixed_report_to_json,
-# positivity_report_to_json, ladder_to_json, body_to_json and
-# origin_collapse_to_json keep their own code, because their JSON renames
-# fields or computes them.
+# positivity_report_to_json, ladder_to_json and body_to_json keep their own
+# code, because their JSON renames fields or computes them.
 _REPORT_KINDS = {
     okounkov.VolumeIdentityReport: "volume-identity",
+    okounkov.OriginCollapseReport: "origin-collapse",
     okounkov.ContainmentBound: "containment-bound",
     okounkov.MinkowskiReport: "minkowski-checks",
     SubmultiplicativityReport: "submultiplicativity",
@@ -292,6 +275,8 @@ _REPORT_KINDS = {
 def _field_json(value):
     if isinstance(value, LimitEstimate):
         return estimate_to_json(value)
+    if isinstance(value, okounkov.Witness):
+        return {"exponent": list(value.exponent), "level": value.level}
     if isinstance(value, Fraction):
         return frac_str(value)
     if isinstance(value, tuple):
@@ -301,7 +286,8 @@ def _field_json(value):
 
 def report_to_json(rep) -> dict:
     """A report of _REPORT_KINDS as its kind and its fields, a Fraction as
-    "p/q", a tuple as a list and a LimitEstimate by estimate_to_json."""
+    "p/q", a Witness as its exponent and level, a tuple as a list and a
+    LimitEstimate by estimate_to_json."""
     obj = {"kind": _REPORT_KINDS[type(rep)]}
     for f in dataclasses.fields(rep):
         obj[f.name] = _field_json(getattr(rep, f.name))

@@ -492,6 +492,89 @@ def far_point_covolume(points, dim):
     return Fraction(total, math.factorial(dim) * den**dim)
 
 
+def covolume_certificate(point_sets, form, dim, tries=20):
+    """Problems with the covolume form of the integer point sets G_j at
+    n = 1, or [] when it is certified.  Shares nothing with the hull: no
+    polytope._facets, _frame, _normal_through or _minimal, only int_det.
+
+    1. Local: each simplex has a nonzero determinant of sign eps, the
+       cofactor normal nu of its hyperplane is strictly positive (up to its
+       sign), and its offset is sum_j min over G_j of nu.g, so no point of
+       P = sum_j conv(G_j) + orthant lies below it.  Each point is one
+       point of each G_j summed.
+    2. Closed: the (d-2)-faces, oriented by eps, cancel, except faces
+       inside a coordinate hyperplane.
+    3. Degree 1: exactly one simplex cone holds a generic positive
+       direction; a direction on some face's plane is redrawn.
+    Together the simplices tile the bounded boundary of P once under
+    radial projection, so sum eps*det/d! is covol(P).
+    """
+    sets = [list(g) for g in point_sets]
+    decs, simplices = form
+    problems = []
+    pts = []
+    for dec in decs:
+        if len(dec) != len(sets) or any(g not in gs for g, gs in zip(dec, sets)):
+            problems.append(f"{dec} is not one point of each set")
+        pts.append(tuple(sum(c) for c in zip(*dec)) if dec else (0,) * dim)
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    chain = {}
+    for eps, idx in simplices:
+        sim = [pts[i] for i in idx]
+        if eps * int_det(sim) <= 0:
+            problems.append(f"simplex {sim}: determinant {int_det(sim)} against eps {eps}")
+        diffs = [[a - b for a, b in zip(p, sim[0])] for p in sim[1:]]
+        nu = [(-1) ** k * int_det([row[:k] + row[k + 1 :] for row in diffs]) for k in range(dim)]
+        nu = [-x for x in nu] if nu[0] < 0 else nu
+        if any(x <= 0 for x in nu):
+            problems.append(f"simplex {sim}: normal {nu} is not positive")
+        elif dot(nu, sim[0]) != sum(min(dot(nu, g) for g in gs) for gs in sets):
+            problems.append(f"simplex {sim}: points of P lie below its plane")
+        for i in range(dim):
+            face = sim[:i] + sim[i + 1 :]
+            inversions = sum(a > b for a, b in itertools.combinations(face, 2))
+            key = tuple(sorted(face))
+            chain[key] = chain.get(key, 0) + eps * (-1) ** (i + inversions)
+    for face, c in chain.items():
+        if c and not any(all(p[k] == 0 for p in face) for k in range(dim)):
+            problems.append(f"face {face} is left open ({c})")
+    rng = random.Random(0)
+    for _ in range(tries):
+        w = [rng.randint(1, 10**6) for _ in range(dim)]
+        held = 0
+        for _, idx in simplices:
+            sim = [pts[i] for i in idx]
+            # Cramer: w = sum_i (cramer[i] / det) * sim[i]
+            cramer = [int_det(sim[:i] + [w] + sim[i + 1 :]) for i in range(dim)]
+            if 0 in cramer:
+                break
+            held += all(c * int_det(sim) > 0 for c in cramer)
+        else:
+            if held != 1:
+                problems.append(f"{held} simplex cones hold the direction {w}")
+            return problems
+    problems.append(f"no generic direction in {tries} tries")
+    return problems
+
+
+@pytest.fixture
+def covolume_forms(monkeypatch):
+    """Every covolume form the test builds, as (point sets, dim, form)."""
+    built = []
+    make = polytope._covolume_form
+
+    def recorded(point_sets, dim):
+        sets = [list(g) for g in point_sets]
+        form = make(sets, dim)
+        built.append((sets, dim, form))
+        return form
+
+    monkeypatch.setattr(polytope, "_covolume_form", recorded)
+    return built
+
+
 # -- growth oracles -----------------------------------------------------------
 
 

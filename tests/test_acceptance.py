@@ -22,6 +22,7 @@ from filtmult import polytope as pt
 from conftest import (
     brute_colength,
     brute_volume,
+    covolume_certificate,
     lp_hull_vertices,
     quotient_points,
     random_primary_ideal,
@@ -35,6 +36,14 @@ def budget(seconds):
     elapsed = time.monotonic() - t0
     print(f"elapsed {elapsed:.2f}s of {seconds}s budget")
     assert elapsed < seconds
+
+
+def assert_certified(forms):
+    """Every covolume form a test built passes the independent certificate."""
+    assert forms
+    for sets, dim, form in forms:
+        assert covolume_certificate(sets, form, dim) == [], (sets, dim)
+    print(f"{len(forms)} covolume forms certified")
 
 
 def maximal_adic():
@@ -296,7 +305,7 @@ def test_8_random_primary_colengths_match_box_count():
         print("500 random primary ideals agree with the box count")
 
 
-def test_9_dimension_four_exact_multiplicity():
+def test_9_dimension_four_exact_multiplicity(covolume_forms):
     with budget(5.0):
         pure = mo.ideal(4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
         est = mu.multiplicity_estimate(
@@ -305,9 +314,10 @@ def test_9_dimension_four_exact_multiplicity():
         print(f"dim-4 multiplicity of (x^2, y^2, z^2, w^2): {est.value}")
         assert est.method == mu.TRUNCATION_EXACT
         assert est.value == 16
+    assert_certified(covolume_forms)
 
 
-def test_10_exact_mixed_multiplicities_from_minkowski_sums():
+def test_10_exact_mixed_multiplicities_from_minkowski_sums(covolume_forms):
     # The exact backend reads every grid point off one facet hull of the
     # report instead of multiplying ideal powers out; both values are exact.
     with budget(3.0):
@@ -333,6 +343,7 @@ def test_10_exact_mixed_multiplicities_from_minkowski_sums():
         got = [rep.coeffs[(4 - i, i)].value for i in range(5)]
         print(f"dim-4 pair: {got}")
         assert got == [16, 8, 4, 2, 1]
+    assert_certified(covolume_forms)
 
 
 def test_11_dim3_body_from_facet_hull():
@@ -382,7 +393,7 @@ def test_13_deep_plane_bodies_hull_their_extreme_feet():
         assert b.body.vertices == pt.hull(2, quotient_points(sem)).vertices
 
 
-def test_14_dim4_three_filtration_exact_report_from_one_form_per_part():
+def test_14_dim4_three_filtration_exact_report_from_one_form_per_part(covolume_forms):
     # The report's one part builds one covolume form over its three levels,
     # and every point of the 15-point dim-4 grid reads its growth off it; a
     # facet hull per grid point took about 0.37 s for this report.
@@ -401,3 +412,4 @@ def test_14_dim4_three_filtration_exact_report_from_one_form_per_part():
         (2, 0, 2): 4, (1, 3, 0): 4, (1, 2, 1): 2, (1, 1, 2): 2, (1, 0, 3): 4,
         (0, 4, 0): 5, (0, 3, 1): 2, (0, 2, 2): 1, (0, 1, 3): 2, (0, 0, 4): 7,
     }
+    assert_certified(covolume_forms)

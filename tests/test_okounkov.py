@@ -487,9 +487,9 @@ class TestMinkowski:
 
     def test_builds_each_facet_hull_once(self, monkeypatch):
         # One hull each for the three semigroup bodies, the Minkowski sum
-        # and its clip, plus the hull of body_both's vertices, which every
-        # containment test reads.  The simplex's vertices are known, so it
-        # needs none.
+        # and its clip; every containment test and volume reads the hull
+        # that found the body's vertices.  The simplex's vertices are known,
+        # so it needs none.
         calls = []
         facets = pt._facets
 
@@ -504,7 +504,7 @@ class TestMinkowski:
         ]
         rep = ok.minkowski_checks(fs, (1, 0), (0, 1), 3)
         assert rep.contained_vertices > 1
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert len(set(calls)) == len(calls)
 
     def test_zero_sigma_collapses_trivially(self):

@@ -8,14 +8,16 @@ from conftest import (
     _normal_through,
     brute_orthant_covolume,
     brute_volume,
+    covolume_certificate,
     far_point_covolume,
     lp_hull_vertices,
     lp_in_hull,
     lp_orthant_extremes,
     random_primary_gens,
 )
-from filtmult import polytope
-from filtmult.monomial import ideal, unit_ideal
+from filtmult import okounkov, polytope
+from filtmult.filtration import adic
+from filtmult.monomial import ideal, maximal_ideal, unit_ideal
 from filtmult.polytope import Halfspace, RationalPolytope, clip, hull, minkowski_sum
 
 F = Fraction
@@ -354,6 +356,118 @@ def _cases(dim, count, seed):
     for _ in range(count):
         yield _random_points(rng, dim, rng.randint(1, 9))
     yield from _degenerate_sets(rng, dim)
+
+
+@pytest.fixture
+def facet_calls(monkeypatch):
+    """The number of points of each _facets call, in order."""
+    calls = []
+    facets = polytope._facets
+
+    def counted(pts, frame):
+        calls.append(len(pts))
+        return facets(pts, frame)
+
+    monkeypatch.setattr(polytope, "_facets", counted)
+    return calls
+
+
+def _query(p):
+    """Every volume and containment query, twice over."""
+    for _ in range(2):
+        p.volume()
+        for v in p.vertices:
+            assert p.contains_point(v)
+        assert not p.contains_point(tuple(c + 1 for c in max(p.vertices)))
+
+
+class TestOneFacetHullPerPolytope:
+    """The facet hull that finds a polytope's vertices also answers its
+    volume and containment queries."""
+
+    CUBE = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [(1, 1, 1), (1, 1, 2)]
+
+    def test_each_builder_hulls_once(self, facet_calls):
+        cube = hull(3, self.CUBE)
+        tilted = hull(3, [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 2)])
+        cut = Halfspace((F(1), F(1), F(1)), F(2))
+        sem = okounkov.value_semigroup([adic(maximal_ideal(3))], (1,), 1, 4)
+        builds = {
+            "hull": lambda: hull(3, self.CUBE),
+            "flat hull": lambda: hull(3, [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0)]),
+            "minkowski_sum": lambda: minkowski_sum(cube, tilted),
+            "clip": lambda: clip(cube, cut),
+            "okounkov.body": lambda: okounkov.body(sem).body,
+        }
+        for name, build in builds.items():
+            facet_calls.clear()
+            _query(build())
+            assert len(facet_calls) == 1, name
+        # a clip that cuts nothing is the polytope itself, hull and all
+        facet_calls.clear()
+        assert clip(cube, Halfspace((F(1), F(0), F(0)), F(5))) is cube
+        _query(cube)
+        assert facet_calls == []
+
+    def test_a_polytope_built_from_vertices_hulls_on_first_query(self, facet_calls):
+        for verts in (hull(3, self.CUBE).vertices, ((F(0), F(0), F(1)), (F(2), F(4), F(1)))):
+            facet_calls.clear()
+            p = RationalPolytope(3, verts)
+            assert facet_calls == []
+            _query(p)
+            assert len(facet_calls) == 1
+
+    def test_dim_cap_on_first_query(self):
+        edge = RationalPolytope(5, ((F(0),) * 5, (F(1),) + (F(0),) * 4))
+        with pytest.raises(ValueError, match="dimension must be between 1 and 4"):
+            edge.contains_point((0,) * 5)
+
+    @pytest.mark.parametrize("dim,count", [(1, 8), (2, 12), (3, 12), (4, 4)])
+    def test_kept_hull_answers_as_a_fresh_one(self, dim, count):
+        # collinear, coplanar, single-point and repeated-point sets among them
+        rng = random.Random(17 * dim)
+        for pts in _cases(dim, count, 19 * dim):
+            p = hull(dim, pts)
+            fresh = RationalPolytope(dim, p.vertices)
+            repeated = RationalPolytope(dim, p.vertices + p.vertices[:2])
+            assert p.vertices == tuple(sorted(set(p.vertices))) == lp_hull_vertices(pts), pts
+            assert p.volume() == fresh.volume() == repeated.volume(), pts
+            cols, low = p._hull[2:]
+            if 0 < len(cols) < dim:
+                # the lower hull's vertices are the images of the vertices
+                assert low.vertices == tuple(sorted(tuple(v[c] for c in cols) for v in p.vertices))
+            probes = list(pts) + _random_points(rng, dim, 4)
+            probes.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+            for x in probes:
+                want = lp_in_hull(x, p.vertices)
+                assert p.contains_point(x) == fresh.contains_point(x) == want, (pts, x)
+                assert repeated.contains_point(x) == want, (pts, x)
+
+
+class TestCovolumeCertificate:
+    """conftest's covolume certificate, which shares nothing with the hull,
+    on seeded forms, and against corrupted copies of them."""
+
+    def test_seeded_forms_are_certified_and_corruptions_rejected(self):
+        # 300 forms in dims 2 to 4 of up to three sets of up to nine
+        # generators; every third form also loses a simplex, or has one
+        # eps flipped, and must be rejected either way
+        rng = random.Random(2024)
+        for case in range(300):
+            dim = rng.choice((2, 3, 4))
+            sets = [
+                [g for g in random_primary_gens(rng, dim, 3) if any(g)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            decs, simplices = form = polytope._covolume_form(sets, dim)
+            assert covolume_certificate(sets, form, dim) == [], sets
+            if case % 3 == 0:
+                k = rng.randrange(len(simplices))
+                eps, idx = simplices[k]
+                dropped = simplices[:k] + simplices[k + 1 :]
+                flipped = simplices[:k] + ((-eps, idx),) + simplices[k + 1 :]
+                assert covolume_certificate(sets, (decs, dropped), dim), sets
+                assert covolume_certificate(sets, (decs, flipped), dim), sets
 
 
 class TestFacetHullAgainstOracles:

@@ -279,13 +279,13 @@ class TestReportSerializers:
         assert set(obj) >= {"hat_volume", "body_volume", "discrepancy"}
 
         col = ok.origin_collapse_check(line_plus_powers(), 8, F(1, 4))
-        obj = se.origin_collapse_to_json(col)
+        obj = se.report_to_json(col)
         json.dumps(obj)
         assert obj["triggered"] is True
         assert obj["witness"] == {"exponent": [1, 0], "level": 4}
 
         none_col = ok.origin_collapse_check(maximal_adic(), 8, F(1, 4))
-        assert se.origin_collapse_to_json(none_col)["witness"] is None
+        assert se.report_to_json(none_col)["witness"] is None
 
         cb = ok.containment_bound_search(maximal_adic(), 8)
         obj = se.report_to_json(cb)
